@@ -28,7 +28,6 @@ from .grid import GridDims, LatticeDims, LatticeSet, load_points, save_points
 from .render import RenderOptions, render
 from .search import SearchBudget, max_corner_avoiding, max_minps, min_percolating, monotonicity_table
 from .verify import is_corner_avoiding_minps, is_minps
-from .percolate import lattice_percolates
 
 
 def _parse_params(pairs: list[str]) -> dict[str, int]:
@@ -90,28 +89,15 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _lattice_is_minps(ls: LatticeSet) -> tuple[bool, str]:
-    if not lattice_percolates(ls, r=2):
-        return False, "not-percolating"
-    for p in sorted(ls.points):
-        if lattice_percolates(ls.without(p), r=2):
-            return False, f"redundant-point {p}"
-    return True, "ok"
-
-
 def _cmd_verify(args) -> int:
     ps = load_points(args.file)
-    if isinstance(ps, LatticeSet):
-        if args.property != "minps":
-            raise DomainError("lattice files support --property minps only")
-        holds, detail = _lattice_is_minps(ps)
-        print(f"property=minps holds={str(holds).lower()} detail={detail}")
-        return 0 if holds else 1
     if args.property == "minps":
         verdict = is_minps(ps)
+    elif isinstance(ps, LatticeSet):
+        raise DomainError("lattice files support --property minps only")
     else:
         verdict = is_corner_avoiding_minps(ps)
-    witness = "-" if verdict.witness is None else f"({verdict.witness.x},{verdict.witness.y})"
+    witness = "-" if verdict.witness is None else f"({','.join(map(str, verdict.witness))})"
     print(f"property={args.property} holds={str(verdict.holds).lower()} "
           f"detail={verdict.detail} witness={witness}")
     return 0 if verdict.holds else 1

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, transpose
-from .percolate import lattice_percolates, percolates
+from .percolate import percolates
+from .verify import is_minps
 
 PERCOLATING = "percolating"
 MINPS = "minps"
@@ -357,11 +358,11 @@ def lattice_minps(n: int, d: int, certify: bool = True) -> CertifiedSet | Certif
         pts.add((3, n - 2, n))
     ls = LatticeSet(LatticeDims(n, 3), frozenset(pts))
     if certify:
-        if not lattice_percolates(ls, r=2):
-            raise EngineError(f"lattice construction on [{n}]^3 does not percolate")
-        for p in sorted(ls.points):
-            if lattice_percolates(ls.without(p), r=2):
-                raise EngineError(f"lattice construction not minimal: {p} is redundant")
+        verdict = is_minps(ls)
+        if not verdict:
+            raise EngineError(
+                f"lattice construction on [{n}]^3 is not a MinPS: {verdict.detail} {verdict.witness}"
+            )
     return CertifiedLatticeSet(ls, MINPS, len(ls))
 
 

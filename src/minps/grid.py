@@ -243,12 +243,12 @@ def parse_points(text: str) -> PointSet | LatticeSet:
             continue
         fields = line.split()
         if header is None:
-            if fields[0] == "dims" and len(fields) == 3:
-                header = ("dims", int(fields[1]), int(fields[2]))
-            elif fields[0] == "ldims" and len(fields) == 3:
-                header = ("ldims", int(fields[1]), int(fields[2]))
-            else:
+            if fields[0] not in ("dims", "ldims") or len(fields) != 3:
                 raise DomainError(f"line {lineno}: expected 'dims <m> <n>' or 'ldims <n> <d>'")
+            try:
+                header = (fields[0], int(fields[1]), int(fields[2]))
+            except ValueError as exc:
+                raise DomainError(f"line {lineno}: non-integer field in header {line!r}") from exc
             continue
         try:
             coords = tuple(int(f) for f in fields)

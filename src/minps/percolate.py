@@ -5,6 +5,10 @@ enters the work queue exactly once, when its infected-neighbour count
 reaches the threshold, so one computation costs O(cells + edges).  The
 queue is processed in layers, which makes ``generations`` (the number of
 synchronous infection rounds until the fixpoint) fall out for free.
+
+This module alone knows the flat cell layout and the cell cap; other
+modules work on flat indices through ``cell_index``, ``cell_at`` and
+``index_closure``.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DomainError, EngineError, ResourceLimitError
-from .grid import GridDims, LatticeSet, Point, PointSet, Rect
+from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect
 
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "MINPS_CELL_CAP"
@@ -70,10 +74,6 @@ def _neighbour_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _index(p: Point, n: int) -> int:
-    return (p.x - 1) * n + (p.y - 1)
-
-
 def _close(m: int, n: int, seeds: Iterable[int]) -> tuple[bytearray, int, int]:
     """Core fixpoint loop on flat cell indices. Returns (flags, count, generations)."""
     nbrs = _neighbour_table(m, n)
@@ -106,6 +106,63 @@ def _close(m: int, n: int, seeds: Iterable[int]) -> tuple[bytearray, int, int]:
     return infected, count, generations
 
 
+# --- flat cell indices -------------------------------------------------------
+
+
+def cell_index(dims: GridDims | LatticeDims, p: tuple[int, ...]) -> int:
+    """Flat index of cell ``p``.
+
+    On an m x n grid it is (x-1)*n + (y-1), so index order is lexicographic
+    point order; on [side]^dim the first coordinate varies fastest.
+    """
+    if isinstance(dims, GridDims):
+        return (p[0] - 1) * dims.n + (p[1] - 1)
+    i = 0
+    for c in reversed(p):
+        i = i * dims.side + (c - 1)
+    return i
+
+
+def cell_at(dims: GridDims | LatticeDims, i: int) -> Point | tuple[int, ...]:
+    """The cell with flat index ``i``: the inverse of ``cell_index``."""
+    if isinstance(dims, GridDims):
+        return Point(i // dims.n + 1, i % dims.n + 1)
+    side = dims.side
+    coords = []
+    for _ in range(dims.dim):
+        coords.append(i % side + 1)
+        i //= side
+    return tuple(coords)
+
+
+def _check(dims: GridDims | LatticeDims, r: int) -> None:
+    if r < 1:
+        raise DomainError(f"threshold must be >= 1, got {r}")
+    if isinstance(dims, GridDims) and r != 2:
+        raise DomainError(f"grids use the 2-neighbour rule only, got threshold {r}")
+    cap = cell_cap()
+    if dims.cells > cap:
+        raise ResourceLimitError(
+            f"{dims} has {dims.cells} cells, over the cap {cap} (override with {CELL_CAP_ENV})"
+        )
+
+
+def index_closure(
+    dims: GridDims | LatticeDims, r: int = 2
+) -> Callable[[Iterable[int]], tuple[bytearray, int]]:
+    """Return ``close(seeds) -> (flags, count)`` over flat cell indices of ``dims``.
+
+    The threshold and the cell cap are checked here, once, before any table
+    is built; ``close`` then runs the grid or lattice engine on each call.
+    """
+    _check(dims, r)
+    if isinstance(dims, GridDims):
+        m, n = dims
+        return lambda seeds: _close(m, n, seeds)[:2]
+    side, dim = dims.side, dims.dim
+    return lambda seeds: _lattice_close(side, dim, r, seeds)
+
+
 def _seed_indices(ps: PointSet) -> list[int]:
     n = ps.dims.n
     return [(p.x - 1) * n + (p.y - 1) for p in ps.points]
@@ -114,6 +171,7 @@ def _seed_indices(ps: PointSet) -> list[int]:
 def closure(ps: PointSet) -> Closure:
     """Least fixpoint containing ``ps`` under the 2-neighbour rule."""
     m, n = ps.dims
+    _check(ps.dims, 2)
     flags, _, generations = _close(m, n, _seed_indices(ps))
     pts = frozenset(
         Point(i // n + 1, i % n + 1) for i, hit in enumerate(flags) if hit
@@ -126,7 +184,7 @@ def percolates(ps: PointSet) -> bool:
     m, n = ps.dims
     if len(ps) == m * n:
         return True
-    _, count, _ = _close(m, n, _seed_indices(ps))
+    _, count = index_closure(ps.dims)(_seed_indices(ps))
     return count == m * n
 
 
@@ -134,9 +192,8 @@ def spans(x: PointSet, y: PointSet) -> bool:
     """True iff every point of ``y`` is eventually infected starting from ``x``."""
     if x.dims != y.dims:
         raise DomainError(f"spans needs matching dims, got {x.dims} and {y.dims}")
-    m, n = x.dims
-    flags, _, _ = _close(m, n, _seed_indices(x))
-    return all(flags[_index(p, n)] for p in y.points)
+    flags, _ = index_closure(x.dims)(_seed_indices(x))
+    return all(flags[cell_index(x.dims, p)] for p in y.points)
 
 
 def internally_spans(x: PointSet, rect: Rect) -> bool:
@@ -144,10 +201,9 @@ def internally_spans(x: PointSet, rect: Rect) -> bool:
     dims = x.dims
     if rect.lo not in dims or rect.hi not in dims:
         raise DomainError(f"rectangle [{rect.lo}, {rect.hi}] does not fit in {dims}")
-    m, n = dims
-    inside = [_index(p, n) for p in x.points if p in rect]
-    flags, _, _ = _close(m, n, inside)
-    return all(flags[_index(p, n)] for p in rect.cells())
+    inside = [cell_index(dims, p) for p in x.points if p in rect]
+    flags, _ = index_closure(dims)(inside)
+    return all(flags[cell_index(dims, p)] for p in rect.cells())
 
 
 def closure_rects(ps: PointSet) -> RectDecomposition:
@@ -159,7 +215,7 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
     completely infected, and that is checked at runtime.
     """
     m, n = ps.dims
-    flags, _, _ = _close(m, n, _seed_indices(ps))
+    flags, _ = index_closure(ps.dims)(_seed_indices(ps))
     seen = bytearray(m * n)
     rects: list[Rect] = []
     for i, hit in enumerate(flags):
@@ -183,7 +239,7 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
                         stack.append(k)
         rect = Rect(Point(lo_x, lo_y), Point(hi_x, hi_y))
         for cell in rect.cells():
-            if not flags[_index(cell, n)]:
+            if not flags[cell_index(ps.dims, cell)]:
                 raise EngineError(
                     f"closure component bounding box {rect} has uninfected cell {tuple(cell)}"
                 )
@@ -223,13 +279,6 @@ def _lattice_neighbour_table(side: int, dim: int) -> tuple[tuple[int, ...], ...]
                 nbrs.append(i + s)
         table.append(tuple(nbrs))
     return tuple(table)
-
-
-def _lattice_index(p: tuple[int, ...], side: int) -> int:
-    i = 0
-    for c in reversed(p):
-        i = i * side + (c - 1)
-    return i
 
 
 def _lattice_close(side: int, dim: int, r: int, seeds: Iterable[int]) -> tuple[bytearray, int]:
@@ -275,39 +324,10 @@ def _lattice_close(side: int, dim: int, r: int, seeds: Iterable[int]) -> tuple[b
 
 def lattice_closure(ls: LatticeSet, r: int = 2) -> LatticeSet:
     """Least fixpoint of ``ls`` under the r-neighbour rule on [side]^dim."""
-    if r < 1:
-        raise DomainError(f"threshold must be >= 1, got {r}")
-    side, dim = ls.dims.side, ls.dims.dim
-    cap = cell_cap()
-    if ls.dims.cells > cap:
-        raise ResourceLimitError(
-            f"lattice {ls.dims} has {ls.dims.cells} cells, over the cap {cap} "
-            f"(override with {CELL_CAP_ENV})"
-        )
-    seeds = [_lattice_index(p, side) for p in ls.points]
-    flags, _ = _lattice_close(side, dim, r, seeds)
-    pts = set()
-    for i, hit in enumerate(flags):
-        if hit:
-            coords = []
-            j = i
-            for _ in range(dim):
-                coords.append(j % side + 1)
-                j //= side
-            pts.add(tuple(coords))
-    return LatticeSet(ls.dims, frozenset(pts))
+    flags, _ = index_closure(ls.dims, r)([cell_index(ls.dims, p) for p in ls.points])
+    return LatticeSet(ls.dims, frozenset(cell_at(ls.dims, i) for i, hit in enumerate(flags) if hit))
 
 
 def lattice_percolates(ls: LatticeSet, r: int = 2) -> bool:
-    if r < 1:
-        raise DomainError(f"threshold must be >= 1, got {r}")
-    cap = cell_cap()
-    if ls.dims.cells > cap:
-        raise ResourceLimitError(
-            f"lattice {ls.dims} has {ls.dims.cells} cells, over the cap {cap} "
-            f"(override with {CELL_CAP_ENV})"
-        )
-    side, dim = ls.dims.side, ls.dims.dim
-    seeds = [_lattice_index(p, side) for p in ls.points]
-    _, count = _lattice_close(side, dim, r, seeds)
+    _, count = index_closure(ls.dims, r)([cell_index(ls.dims, p) for p in ls.points])
     return count == ls.dims.cells

@@ -14,13 +14,15 @@ before any closure is computed: a set in which some seed has two or more
 seed neighbours re-infects that seed after deleting it, so it can never be
 minimal (and never beats a smaller percolating set).
 
-Subsets are dense bitmasks; the percolation test is a shift-and-or sweep on
-those masks, entirely independent of the BFS engine in ``percolate`` (the
-two are cross-checked in the tests).
+On grids, subsets are dense bitmasks; the percolation test is a
+shift-and-or sweep on those masks, entirely independent of the BFS engine
+in ``percolate`` (the two are cross-checked in the tests).  On lattices,
+each candidate is closed by the r-neighbour engine in ``percolate``.
 
-Every block is split into partitions by first cell, each with a
-deterministic share of the node budget, so results and node counts do not
-depend on the worker count.
+Grids and lattices share one block loop.  Every block is split into partitions
+by first cell, each with a deterministic share of the node budget, so
+results and node counts do not depend on the worker count.  The time budget
+is checked on the first node of each partition and every 4096 nodes after.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError, EngineError
-from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet
-from .percolate import _lattice_close
+from .grid import GridDims, LatticeDims, LatticeSet, PointSet
+from .percolate import cell_at, cell_index, index_closure
 from .verify import corner_cells
 
 DEFAULT_MAX_NODES = 200_000_000
@@ -78,7 +80,8 @@ class _Tables:
         self.not_bot = sum(rep_bot << (x * n) for x in range(m))
         self.transforms = _symmetry_perms(m, n)
         if m >= 2 and n >= 2:
-            idx = [(p.x - 1) * n + (p.y - 1) for p in corner_cells(GridDims(m, n))]
+            dims = GridDims(m, n)
+            idx = [cell_index(dims, p) for p in corner_cells(dims)]
             self.corner_mask = sum(1 << i for i in idx)
             corner_set = frozenset(idx)
             self.corner_transforms = tuple(
@@ -103,15 +106,11 @@ def _symmetry_perms(m: int, n: int) -> tuple[tuple[int, ...], ...]:
             lambda x, y: (y, n + 1 - x),
             lambda x, y: (n + 1 - y, x),
         ]
+    dims = GridDims(m, n)
     perms = set()
     identity = tuple(range(m * n))
     for f in maps:
-        perm = [0] * (m * n)
-        for x in range(1, m + 1):
-            for y in range(1, n + 1):
-                fx, fy = f(x, y)
-                perm[(x - 1) * n + (y - 1)] = (fx - 1) * n + (fy - 1)
-        perm = tuple(perm)
+        perm = tuple(cell_index(dims, f(*cell_at(dims, i))) for i in range(m * n))
         if perm != identity:
             perms.add(perm)
     return tuple(sorted(perms))
@@ -123,6 +122,7 @@ def _tables(m: int, n: int) -> _Tables:
 
 
 def _closure_mask(t: _Tables, mask: int) -> int:
+    # The full grid is a fixpoint too, so stop as soon as it is reached.
     full, n, not_top, not_bot = t.full, t.n, t.not_top, t.not_bot
     while True:
         up = (mask & not_top) << 1
@@ -130,23 +130,8 @@ def _closure_mask(t: _Tables, mask: int) -> int:
         right = (mask << n) & full
         left = mask >> n
         grown = mask | (up & down) | (left & right) | ((up | down) & (left | right))
-        if grown == mask:
-            return mask
-        mask = grown
-
-
-def _percolates_mask(t: _Tables, mask: int) -> bool:
-    full, n, not_top, not_bot = t.full, t.n, t.not_top, t.not_bot
-    while True:
-        up = (mask & not_top) << 1
-        down = (mask & not_bot) >> 1
-        right = (mask << n) & full
-        left = mask >> n
-        grown = mask | (up & down) | (left & right) | ((up | down) & (left | right))
-        if grown == full:
-            return True
-        if grown == mask:
-            return False
+        if grown == full or grown == mask:
+            return grown
         mask = grown
 
 
@@ -171,8 +156,9 @@ def _is_canonical(cand: tuple[int, ...], transforms) -> bool:
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     """Scan one (block, first-cell) partition; returns (hit, nodes, truncated)."""
-    m, n, s, first, mode, node_cap, deadline, symmetry, pruning = args
-    t = _tables(m, n)
+    dims, s, first, node_cap, deadline, (mode, symmetry, pruning) = args
+    t = _tables(dims.m, dims.n)
+    full = t.full
     bit = t.bit
     transforms = t.corner_transforms if mode == "corner" else t.transforms
     base = bit[first]
@@ -181,7 +167,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         if nodes >= node_cap:
             return None, nodes, True
         nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
             return None, nodes, True
         mask = base
         for i in rest:
@@ -191,23 +177,23 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         if mode == "perc":
             if symmetry and not _is_canonical((first,) + rest, transforms):
                 continue
-            if _percolates_mask(t, mask):
+            if _closure_mask(t, mask) == full:
                 return (first,) + rest, nodes, False
             continue
-        if not _percolates_mask(t, mask):
+        if _closure_mask(t, mask) != full:
             continue
         if symmetry and not _is_canonical((first,) + rest, transforms):
             continue
         cand = (first,) + rest
         if mode == "minps":
-            if any(_percolates_mask(t, mask ^ bit[i]) for i in cand):
+            if any(_closure_mask(t, mask ^ bit[i]) == full for i in cand):
                 continue
             return cand, nodes, False
         # mode == "corner"
         ok = True
         for i in cand:
             cl = _closure_mask(t, mask ^ bit[i])
-            if cl == t.full or cl & t.corner_mask:
+            if cl == full or cl & t.corner_mask:
                 ok = False
                 break
         if ok:
@@ -215,21 +201,39 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     return None, nodes, False
 
 
-def _run_block(m, n, s, mode, node_cap, deadline, symmetry, pruning, pool):
+def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
+    """The lattice counterpart of ``_scan_partition``: a candidate is a hit
+    when its r-neighbour closure fills the lattice."""
+    dims, s, first, node_cap, deadline, (r,) = args
+    close = index_closure(dims, r)
+    cells = dims.cells
+    nodes = 0
+    for rest in combinations(range(first + 1, cells), s - 1):
+        if nodes >= node_cap:
+            return None, nodes, True
+        nodes += 1
+        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
+            return None, nodes, True
+        cand = (first,) + rest
+        if close(cand)[1] == cells:
+            return cand, nodes, False
+    return None, nodes, False
+
+
+def _run_block(dims, rule, s, node_cap, deadline, pool):
     """Scan a whole cardinality block. Partition budgets are fixed up front,
     so the outcome is identical for any worker count."""
-    cells = m * n
-    parts = list(range(0, cells - s + 1))
+    scan = _scan_lattice_partition if isinstance(dims, LatticeDims) else _scan_partition
+    parts = list(range(0, dims.cells - s + 1))
     base_cap, extra = divmod(node_cap, len(parts))
     arglist = [
-        (m, n, s, first, mode, base_cap + (1 if i < extra else 0),
-         deadline, symmetry, pruning)
+        (dims, s, first, base_cap + (1 if i < extra else 0), deadline, rule)
         for i, first in enumerate(parts)
     ]
     if pool is not None and len(parts) > 1:
-        results = list(pool.map(_scan_partition, arglist))
+        results = list(pool.map(scan, arglist))
     else:
-        results = [_scan_partition(a) for a in arglist]
+        results = [scan(a) for a in arglist]
     hit = None
     nodes = 0
     truncated = False
@@ -241,18 +245,22 @@ def _run_block(m, n, s, mode, node_cap, deadline, symmetry, pruning, pool):
     return hit, nodes, truncated
 
 
-def _witness_2d(dims: GridDims, cand: tuple[int, ...]) -> PointSet:
-    n = dims.n
-    return PointSet(dims, frozenset(Point(i // n + 1, i % n + 1) for i in cand))
+def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | LatticeSet:
+    cls = LatticeSet if isinstance(dims, LatticeDims) else PointSet
+    return cls(dims, frozenset(cell_at(dims, i) for i in cand))
 
 
-def _drive(dims: GridDims, mode: str, sizes, budget: SearchBudget,
-           symmetry: bool, pruning: bool) -> SearchResult:
+def _drive(dims: GridDims | LatticeDims, rule: tuple, sizes,
+           budget: SearchBudget) -> SearchResult:
+    """Scan the blocks in ``sizes`` until one has a hit.  ``rule`` is passed to
+    every partition scan: (mode, symmetry, pruning) on grids, (r,) on lattices."""
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
     pool = None
     total_nodes = 0
     truncated = False
+    hit: tuple[int, ...] = ()
+    value = 0
     try:
         if budget.workers > 1:
             pool = ProcessPoolExecutor(max_workers=budget.workers)
@@ -261,30 +269,22 @@ def _drive(dims: GridDims, mode: str, sizes, budget: SearchBudget,
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
                 truncated = True
                 break
-            hit, nodes, trunc = _run_block(
-                dims.m, dims.n, s, mode, remaining, deadline,
-                symmetry, pruning, pool,
-            )
+            h, nodes, trunc = _run_block(dims, rule, s, remaining, deadline, pool)
             total_nodes += nodes
             truncated = truncated or trunc
-            if hit is not None:
-                return SearchResult(
-                    value=s,
-                    witness=_witness_2d(dims, hit),
-                    exhaustive=not truncated,
-                    nodes=total_nodes,
-                    elapsed=time.monotonic() - start,
-                )
-        return SearchResult(
-            value=0,
-            witness=PointSet(dims, frozenset()),
-            exhaustive=not truncated,
-            nodes=total_nodes,
-            elapsed=time.monotonic() - start,
-        )
+            if h is not None:
+                hit, value = h, s
+                break
     finally:
         if pool is not None:
             pool.shutdown()
+    return SearchResult(
+        value=value,
+        witness=_witness(dims, hit),
+        exhaustive=not truncated,
+        nodes=total_nodes,
+        elapsed=time.monotonic() - start,
+    )
 
 
 def max_minps(dims: GridDims, budget: SearchBudget | None = None, *,
@@ -294,7 +294,7 @@ def max_minps(dims: GridDims, budget: SearchBudget | None = None, *,
     ``exhaustive`` is False."""
     budget = budget or SearchBudget()
     sizes = range(dims.cells, 0, -1)
-    return _drive(dims, "minps", sizes, budget, symmetry, pruning)
+    return _drive(dims, ("minps", symmetry, pruning), sizes, budget)
 
 
 def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None, *,
@@ -306,78 +306,21 @@ def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None, *,
         raise DomainError(f"corner-avoiding search needs at least 2x2, got {dims}")
     budget = budget or SearchBudget()
     sizes = range(dims.cells, 0, -1)
-    return _drive(dims, "corner", sizes, budget, symmetry, pruning)
-
-
-def _scan_lattice_partition(args):
-    side, d, r, s, first, node_cap = args
-    cells = side ** d
-    nodes = 0
-    for rest in combinations(range(first + 1, cells), s - 1):
-        if nodes >= node_cap:
-            return None, nodes, True
-        nodes += 1
-        cand = (first,) + rest
-        _, count = _lattice_close(side, d, r, cand)
-        if count == cells:
-            return cand, nodes, False
-    return None, nodes, False
+    return _drive(dims, ("corner", symmetry, pruning), sizes, budget)
 
 
 def min_percolating(dims: GridDims | LatticeDims, budget: SearchBudget | None = None,
                     *, r: int = 2) -> SearchResult:
     """Smallest percolating set: 2D grids with the standard rule, or a
-    [side]^d lattice with threshold ``r``.  Lattice searches run serially;
-    ``budget.workers`` applies to 2D grids only."""
+    [side]^d lattice with threshold ``r``."""
     budget = budget or SearchBudget()
     if isinstance(dims, GridDims):
         if r != 2:
             raise DomainError("2D grid search supports the 2-neighbour rule only")
-        sizes = range(1, dims.cells + 1)
-        return _drive(dims, "perc", sizes, budget, symmetry=True, pruning=True)
-
-    side, d = dims.side, dims.dim
-    cells = dims.cells
-    start = time.monotonic()
-    total_nodes = 0
-    truncated = False
-    for s in range(1, cells + 1):
-        remaining = budget.max_nodes - total_nodes
-        if remaining <= 0:
-            truncated = True
-            break
-        parts = list(range(0, cells - s + 1))
-        base_cap, extra = divmod(remaining, len(parts))
-        hit = None
-        for i, first in enumerate(parts):
-            h, used, trunc = _scan_lattice_partition(
-                (side, d, r, s, first, base_cap + (1 if i < extra else 0))
-            )
-            total_nodes += used
-            truncated = truncated or trunc
-            if hit is None and h is not None:
-                hit = h
-        if hit is not None:
-            pts = []
-            for i in hit:
-                coords = []
-                j = i
-                for _ in range(d):
-                    coords.append(j % side + 1)
-                    j //= side
-                pts.append(tuple(coords))
-            return SearchResult(
-                value=s,
-                witness=LatticeSet(dims, frozenset(pts)),
-                exhaustive=not truncated,
-                nodes=total_nodes,
-                elapsed=time.monotonic() - start,
-            )
-        if budget.max_time is not None and time.monotonic() - start > budget.max_time:
-            truncated = True
-            break
-    return SearchResult(0, LatticeSet(dims, frozenset()), not truncated,
-                        total_nodes, time.monotonic() - start)
+        rule = ("perc", True, True)
+    else:
+        rule = (r,)
+    return _drive(dims, rule, range(1, dims.cells + 1), budget)
 
 
 def monotonicity_table(max_m: int, max_n: int,

@@ -2,7 +2,8 @@
 
 A set is a minimal percolating set (MinPS) iff it percolates and no single
 deletion still percolates; by monotonicity of the closure, checking single
-deletions suffices.  A MinPS is corner-avoiding iff every single deletion
+deletions suffices.  This holds on grids and, under the 2-neighbour rule,
+on [n]^d lattices.  A MinPS is corner-avoiding iff every single deletion
 also leaves both 2x2 corner rectangles (top-left and bottom-right)
 completely uninfected.
 """
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .grid import GridDims, Point, PointSet, Rect
-from .percolate import _close, _index, _seed_indices
+from .grid import GridDims, LatticeSet, Point, PointSet, Rect
+from .percolate import cell_index, index_closure
 
 OK = "ok"
 NOT_PERCOLATING = "not-percolating"
@@ -24,7 +25,7 @@ CORNER_REACHED = "corner-reached"
 @dataclass(frozen=True)
 class Verdict:
     holds: bool
-    witness: Point | None
+    witness: Point | tuple[int, ...] | None
     detail: str
 
     def __bool__(self) -> bool:
@@ -54,42 +55,37 @@ def corner_cells(dims: GridDims) -> frozenset[Point]:
     return frozenset(c.jl.cells()) | frozenset(c.jr.cells())
 
 
-def is_minps(ps: PointSet) -> Verdict:
-    """Certify that ``ps`` is a minimal percolating set.
+def is_minps(ps: PointSet | LatticeSet) -> Verdict:
+    """Certify that ``ps`` (a grid set, or a lattice set under the 2-neighbour
+    rule) is a minimal percolating set.
 
     On failure the verdict carries the first witness in lexicographic point
     order: None for a set that does not percolate at all, or the point whose
     deletion still percolates.
     """
-    m, n = ps.dims
-    cells = m * n
-    seeds = sorted(_seed_indices(ps))
-    _, count, _ = _close(m, n, seeds)
-    if count != cells:
-        return Verdict(False, None, NOT_PERCOLATING)
-    for i in range(len(seeds)):
-        _, count, _ = _close(m, n, seeds[:i] + seeds[i + 1:])
-        if count == cells:
-            idx = seeds[i]
-            return Verdict(False, Point(idx // n + 1, idx % n + 1), REDUNDANT_POINT)
-    return Verdict(True, None, OK)
+    return _certify(ps, ())
 
 
 def is_corner_avoiding_minps(ps: PointSet) -> Verdict:
     """Certify minimality plus corner avoidance in one pass over deletions."""
-    m, n = ps.dims
-    corner_idx = [_index(p, n) for p in sorted(corner_cells(ps.dims))]
-    cells = m * n
-    seeds = sorted(_seed_indices(ps))
-    _, count, _ = _close(m, n, seeds)
+    return _certify(ps, [cell_index(ps.dims, p) for p in corner_cells(ps.dims)])
+
+
+def _certify(s: PointSet | LatticeSet, corner_idx) -> Verdict:
+    """The one deletion loop: percolation, then each single deletion in point
+    order, failing on a deletion that percolates or infects a corner cell."""
+    dims = s.dims
+    cells = dims.cells
+    close = index_closure(dims)
+    points = sorted(s.points)
+    seeds = [cell_index(dims, p) for p in points]
+    _, count = close(seeds)
     if count != cells:
         return Verdict(False, None, NOT_PERCOLATING)
-    for i in range(len(seeds)):
-        flags, count, _ = _close(m, n, seeds[:i] + seeds[i + 1:])
-        idx = seeds[i]
-        witness = Point(idx // n + 1, idx % n + 1)
+    for i, p in enumerate(points):
+        flags, count = close(seeds[:i] + seeds[i + 1:])
         if count == cells:
-            return Verdict(False, witness, REDUNDANT_POINT)
+            return Verdict(False, p, REDUNDANT_POINT)
         if any(flags[c] for c in corner_idx):
-            return Verdict(False, witness, CORNER_REACHED)
+            return Verdict(False, p, CORNER_REACHED)
     return Verdict(True, None, OK)

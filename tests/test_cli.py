@@ -2,6 +2,7 @@ import pytest
 
 from minps import (
     GridDims,
+    LatticeSet,
     PointSet,
     is_corner_avoiding_minps,
     is_minps,
@@ -98,6 +99,27 @@ def test_construct_ddim_and_lattice_verify(tmp_path, capsys):
     assert run(["construct", "--family", "ddim", "--params", "n=8", "d=3", "-o", str(out)]) == 0
     assert run(["verify", "--property", "minps", str(out)]) == 0
     assert run(["verify", "--property", "corner-avoiding", str(out)]) == 2
+
+
+def test_lattice_verify_prints_witness(tmp_path, capsys):
+    good = tmp_path / "cube.pts"
+    assert run(["construct", "--family", "ddim", "--params", "n=8", "d=3", "-o", str(good)]) == 0
+    cube = load_points(good)
+    bad = tmp_path / "plus.pts"
+    save_points(bad, LatticeSet(cube.dims, cube.points | {(1, 5, 1)}))
+    capsys.readouterr()
+    assert run(["verify", "--property", "minps", str(good)]) == 0
+    assert "holds=true detail=ok witness=-" in capsys.readouterr().out
+    assert run(["verify", "--property", "minps", str(bad)]) == 1
+    assert "holds=false detail=redundant-point witness=(1,4,1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("header", ["dims a 3", "ldims 3 x"])
+def test_verify_malformed_header_exits_two(tmp_path, capsys, header):
+    path = tmp_path / "bad.pts"
+    path.write_text(f"{header}\n1 1\n")
+    assert run(["verify", "--property", "minps", str(path)]) == 2
+    assert "error: line 1" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

@@ -177,6 +177,11 @@ class TestPtsFormat:
         with pytest.raises(DomainError):
             parse_points("3 3\n1 1\n")
 
+    @pytest.mark.parametrize("header", ["dims a 3", "dims 3 1.5", "ldims 3 d"])
+    def test_non_integer_header(self, header):
+        with pytest.raises(DomainError, match="line 2"):
+            parse_points(f"# comment\n{header}\n1 1\n")
+
     def test_lattice_round_trip(self):
         a = LatticeSet(LatticeDims(3, 3), frozenset({(1, 2, 3), (3, 3, 3)}))
         assert parse_points(format_points(a)) == a

@@ -1,0 +1,46 @@
+"""Module boundaries of the package: no ``minps`` module reaches into another
+module's private (underscore) names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "minps"
+
+
+def _private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    modules = set()  # local names bound to sibling modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "minps"
+                                                 or (node.module or "").startswith("minps.")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.module or '.'}.{alias.name}")
+                if not node.module or node.module == "minps":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("minps.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_private_names_of_another():
+    offenders = {p.name: _private_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_private_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .percolate import _close, closure\n"
+        "from minps.search import _tables\n"
+        "from . import verify\n"
+        "verify._certify\n"
+    )
+    assert _private_imports(sample) == ["percolate._close", "minps.search._tables", "verify._certify"]

@@ -21,7 +21,7 @@ from minps import (
     simple_minps,
     spans,
 )
-from minps.percolate import _close
+from minps.percolate import _close, _neighbour_table, cell_at, cell_index, index_closure
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -245,3 +245,39 @@ class TestLattice:
         ls = LatticeSet(LatticeDims(2, 2), frozenset())
         with pytest.raises(DomainError):
             lattice_closure(ls, r=0)
+
+
+class TestFlatIndex:
+    @pytest.mark.parametrize("dims", [GridDims(3, 4), GridDims(1, 5), LatticeDims(3, 3), LatticeDims(2, 4)])
+    def test_cell_at_inverts_cell_index(self, dims):
+        cells = [cell_at(dims, i) for i in range(dims.cells)]
+        assert all(c in dims for c in cells) and len(set(cells)) == dims.cells
+        assert [cell_index(dims, c) for c in cells] == list(range(dims.cells))
+
+    def test_grid_index_order_is_point_order(self):
+        dims = GridDims(4, 3)
+        cells = [cell_at(dims, i) for i in range(dims.cells)]
+        assert cells == sorted(cells)
+
+    def test_grid_rejects_other_thresholds(self):
+        with pytest.raises(DomainError):
+            index_closure(GridDims(3, 3), r=3)
+
+    def test_cell_cap_covers_grids_before_allocating(self, monkeypatch):
+        from minps import is_corner_avoiding_minps, is_minps
+
+        a = simple_minps(4, 4).points
+        monkeypatch.setenv("MINPS_CELL_CAP", "10")
+        _neighbour_table.cache_clear()
+        calls = [
+            lambda: closure(a), lambda: percolates(a.without((1, 1))),
+            lambda: closure_rects(a), lambda: spans(a, a),
+            lambda: internally_spans(a, Rect(Point(1, 1), Point(2, 2))),
+            lambda: is_minps(a), lambda: is_corner_avoiding_minps(a),
+        ]
+        for call in calls:
+            with pytest.raises(ResourceLimitError):
+                call()
+        assert _neighbour_table.cache_info().currsize == 0
+        monkeypatch.setenv("MINPS_CELL_CAP", "16")
+        assert percolates(a)

@@ -140,6 +140,19 @@ class TestMinPercolating:
         res = min_percolating(LatticeDims(3, 2), r=1)
         assert res.value == 1
 
+    def test_lattice_workers_do_not_change_result(self):
+        one = min_percolating(LatticeDims(2, 3), SearchBudget(workers=1))
+        two = min_percolating(LatticeDims(2, 3), SearchBudget(workers=2))
+        assert (one.value, one.witness, one.nodes) == (two.value, two.witness, two.nodes)
+
+    def test_lattice_time_budget_holds_inside_a_block(self):
+        import time
+
+        start = time.monotonic()
+        res = min_percolating(LatticeDims(4, 3), SearchBudget(max_time=0.3))
+        assert not res.exhaustive
+        assert time.monotonic() - start < 1.5
+
     def test_lattice_budget_truncation(self):
         res = min_percolating(LatticeDims(2, 3), SearchBudget(max_nodes=3))
         assert not res.exhaustive
@@ -158,7 +171,7 @@ class TestMaskEngineAgreement:
 
         from minps import closure
         from minps.grid import PointSet
-        from minps.search import _closure_mask, _percolates_mask, _tables
+        from minps.search import _closure_mask, _tables
 
         rng = random.Random(31)
         for m, n in [(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]:
@@ -173,7 +186,7 @@ class TestMaskEngineAgreement:
                 for p in infected.points:
                     want |= 1 << ((p.x - 1) * n + (p.y - 1))
                 assert _closure_mask(t, mask) == want
-                assert _percolates_mask(t, mask) == (want == t.full)
+                assert (_closure_mask(t, mask) == t.full) == (want == t.full)
 
 
 class TestMonotonicityTable:

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from minps import (
     DomainError,
     GridDims,
+    LatticeDims,
+    LatticeSet,
     Point,
     PointSet,
     Rect,
@@ -11,9 +15,13 @@ from minps import (
     glue,
     is_corner_avoiding_minps,
     is_minps,
+    lattice_minps,
+    lattice_percolates,
     simple_minps,
 )
 from minps.verify import CORNER_REACHED, NOT_PERCOLATING, OK, REDUNDANT_POINT
+
+from oracles import naive_lattice_closure
 
 
 def ps(m, n, pts):
@@ -56,6 +64,38 @@ class TestIsMinps:
         v = is_minps(a)
         assert not v.holds and v.detail == REDUNDANT_POINT
         assert v.witness in a
+
+
+class TestLatticeIsMinps:
+    def test_agrees_with_naive_oracle(self):
+        dims = LatticeDims(3, 3)
+        cells = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
+
+        def perc(pts):
+            return len(naive_lattice_closure(3, 3, 2, pts)) == 27
+
+        rng = random.Random(21)
+        outcomes = set()
+        for _ in range(200):
+            pts = set(rng.sample(cells, rng.randint(3, 7)))
+            v = is_minps(LatticeSet(dims, frozenset(pts)))
+            if not perc(pts):
+                want = (False, None, NOT_PERCOLATING)
+            else:
+                redundant = [p for p in sorted(pts) if perc(pts - {p})]
+                want = (False, redundant[0], REDUNDANT_POINT) if redundant else (True, None, OK)
+            assert (v.holds, v.witness, v.detail) == want
+            outcomes.add(v.detail)
+        assert outcomes == {OK, NOT_PERCOLATING, REDUNDANT_POINT}
+
+    def test_names_least_redundant_point(self):
+        # the added cell makes an earlier seed, (1, 4, 1), redundant as well
+        base = lattice_minps(8, 3).points
+        plus = LatticeSet(base.dims, base.points | {(1, 5, 1)})
+        want = next(p for p in sorted(plus.points) if lattice_percolates(plus.without(p)))
+        v = is_minps(plus)
+        assert want == (1, 4, 1)
+        assert (v.holds, v.detail, v.witness) == (False, REDUNDANT_POINT, want)
 
 
 class TestCornerAvoiding:
