@@ -1,18 +1,28 @@
 """Bootstrap dynamics: 2-neighbour closures on grids, r-neighbour closures on lattices.
 
-The closure is computed with a counter-based breadth-first search: a cell
-enters the work queue exactly once, when its infected-neighbour count
-reaches the threshold, so one computation costs O(cells + edges).  The
-queue is processed in layers, which makes ``generations`` (the number of
-synchronous infection rounds until the fixpoint) fall out for free.
+One engine serves both.  A grid is the 2-axis box with axes (size, stride)
+= ((m, n), (n, 1)), and [side]^dim is the box with axes (side, side**k); a
+cell's neighbours are one stride away along each axis.  The closure is a
+counter-based breadth-first search on flat cell indices: a cell enters the
+work queue exactly once, when its count of infected neighbours reaches the
+threshold, so one computation costs O(cells + edges).  The queue is
+processed in layers, which makes ``generations`` (the number of synchronous
+infection rounds until the fixpoint) fall out for free.  Boxes of up to
+100,000 cells keep a cached neighbour table; larger ones compute neighbours
+from the strides.
+
+On a grid every closure is a disjoint union of filled rectangles at pairwise
+taxicab distance >= 3, and ``closure_rects`` reads them straight off the
+closure's flags.
 
 This module alone knows the flat cell layout and the cell cap; other
 modules work on flat indices through ``cell_index``, ``cell_at`` and
-``index_closure``.
+``index_closure``, and check a shape against the cap with ``check_closure``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,14 +34,11 @@ from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "MINPS_CELL_CAP"
 
-# Offsets at taxicab distance <= 2; two infected regions interact under the
-# 2-neighbour rule iff some pair of their cells is this close.
-_INTERACTION_OFFSETS = tuple(
-    (dx, dy)
-    for dx in range(-2, 3)
-    for dy in range(-2, 3)
-    if 0 < abs(dx) + abs(dy) <= 2
-)
+# Largest box that gets a cached neighbour table (about 200-300 B per cell).
+_TABLE_MAX_CELLS = 100_000
+
+# translate() table sending a countdown of 0 (infected) to 1 and all else to 0.
+_ONE_AT_ZERO = bytes([1]) + bytes(255)
 
 
 @dataclass(frozen=True)
@@ -54,56 +61,28 @@ class RectDecomposition:
         return sum(r.size for r in self.rects)
 
 
-@lru_cache(maxsize=32)
-def _neighbour_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    # Cell index is (x-1)*n + (y-1), so index order equals (x, y) lex order.
-    table = []
-    for x in range(1, m + 1):
-        for y in range(1, n + 1):
-            i = (x - 1) * n + (y - 1)
-            nbrs = []
-            if y > 1:
-                nbrs.append(i - 1)
-            if y < n:
-                nbrs.append(i + 1)
-            if x > 1:
-                nbrs.append(i - n)
-            if x < m:
-                nbrs.append(i + n)
-            table.append(tuple(nbrs))
-    return tuple(table)
+def cell_cap() -> int:
+    raw = os.environ.get(CELL_CAP_ENV)
+    if raw is None:
+        return DEFAULT_CELL_CAP
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise DomainError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _close(m: int, n: int, seeds: Iterable[int]) -> tuple[bytearray, int, int]:
-    """Core fixpoint loop on flat cell indices. Returns (flags, count, generations)."""
-    nbrs = _neighbour_table(m, n)
-    size = m * n
-    infected = bytearray(size)
-    touched = bytearray(size)  # cell already has exactly one infected neighbour
-    frontier: list[int] = []
-    push = frontier.append
-    for i in seeds:
-        if not infected[i]:
-            infected[i] = 1
-            push(i)
-    count = len(frontier)
-    generations = 0
-    while frontier:
-        nxt: list[int] = []
-        push = nxt.append
-        for u in frontier:
-            for v in nbrs[u]:
-                if not infected[v]:
-                    if touched[v]:
-                        infected[v] = 1
-                        push(v)
-                    else:
-                        touched[v] = 1
-        if nxt:
-            generations += 1
-            count += len(nxt)
-        frontier = nxt
-    return infected, count, generations
+def check_closure(dims: GridDims | LatticeDims, r: int = 2) -> None:
+    """Raise DomainError for a threshold ``dims`` does not support, and
+    ResourceLimitError when ``dims`` has more cells than the cap."""
+    if r < 1:
+        raise DomainError(f"threshold must be >= 1, got {r}")
+    if isinstance(dims, GridDims) and r != 2:
+        raise DomainError(f"grids use the 2-neighbour rule only, got threshold {r}")
+    cap = cell_cap()
+    if dims.cells > cap:
+        raise ResourceLimitError(
+            f"{dims} has {dims.cells} cells, over the cap {cap} (override with {CELL_CAP_ENV})"
+        )
 
 
 # --- flat cell indices -------------------------------------------------------
@@ -135,16 +114,82 @@ def cell_at(dims: GridDims | LatticeDims, i: int) -> Point | tuple[int, ...]:
     return tuple(coords)
 
 
-def _check(dims: GridDims | LatticeDims, r: int) -> None:
-    if r < 1:
-        raise DomainError(f"threshold must be >= 1, got {r}")
-    if isinstance(dims, GridDims) and r != 2:
-        raise DomainError(f"grids use the 2-neighbour rule only, got threshold {r}")
-    cap = cell_cap()
-    if dims.cells > cap:
-        raise ResourceLimitError(
-            f"{dims} has {dims.cells} cells, over the cap {cap} (override with {CELL_CAP_ENV})"
-        )
+# --- the engine ----------------------------------------------------------------
+
+
+def _axes(dims: GridDims | LatticeDims) -> tuple[tuple[int, int], ...]:
+    """(size, stride) per coordinate of the flat layout."""
+    if isinstance(dims, GridDims):
+        return ((dims.m, dims.n), (dims.n, 1))
+    return tuple((dims.side, dims.side ** k) for k in range(dims.dim))
+
+
+class _StrideNeighbours:
+    """``nbrs[i]`` computed from the strides, for boxes too big for a table."""
+
+    def __init__(self, axes: tuple[tuple[int, int], ...]):
+        self.axes = axes
+
+    def __getitem__(self, i: int) -> list[int]:
+        out = []
+        for size, stride in self.axes:
+            c = i // stride % size
+            if c > 0:
+                out.append(i - stride)
+            if c < size - 1:
+                out.append(i + stride)
+        return out
+
+
+@lru_cache(maxsize=32)
+def _neighbour_table(axes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    nbrs = _StrideNeighbours(axes)
+    return tuple(tuple(nbrs[i]) for i in range(math.prod(size for size, _ in axes)))
+
+
+def _close(nbrs, cells: int, r: int, seeds: Iterable[int]) -> tuple[bytearray, int, int]:
+    """Core fixpoint loop on flat cell indices. Returns (flags, count, generations).
+
+    ``need[v]`` counts the infected neighbours ``v`` still lacks; it is 0
+    exactly on infected cells.  ``r`` must fit a byte.
+    """
+    need = bytearray([r]) * cells
+    frontier: list[int] = []
+    push = frontier.append
+    for i in seeds:
+        if need[i]:
+            need[i] = 0
+            push(i)
+    count = len(frontier)
+    generations = 0
+    while frontier:
+        nxt: list[int] = []
+        push = nxt.append
+        for u in frontier:
+            for v in nbrs[u]:
+                c = need[v]
+                if c:
+                    c -= 1
+                    need[v] = c
+                    if not c:
+                        push(v)
+        if nxt:
+            generations += 1
+            count += len(nxt)
+        frontier = nxt
+    return need.translate(_ONE_AT_ZERO), count, generations
+
+
+def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[object, int, int]:
+    """Check ``dims`` and ``r``, then return the neighbours, cell count and
+    start count that ``_close`` takes."""
+    check_closure(dims, r)
+    axes = _axes(dims)
+    cells = dims.cells
+    nbrs = _neighbour_table(axes) if cells <= _TABLE_MAX_CELLS else _StrideNeighbours(axes)
+    # No cell has more than 2 * len(axes) neighbours, so a larger threshold
+    # infects nothing new, just as 2 * len(axes) + 1 does.
+    return nbrs, cells, min(r, 2 * len(axes) + 1)
 
 
 def index_closure(
@@ -153,14 +198,13 @@ def index_closure(
     """Return ``close(seeds) -> (flags, count)`` over flat cell indices of ``dims``.
 
     The threshold and the cell cap are checked here, once, before any table
-    is built; ``close`` then runs the grid or lattice engine on each call.
+    is built; ``close`` then runs the engine on each call.
     """
-    _check(dims, r)
-    if isinstance(dims, GridDims):
-        m, n = dims
-        return lambda seeds: _close(m, n, seeds)[:2]
-    side, dim = dims.side, dims.dim
-    return lambda seeds: _lattice_close(side, dim, r, seeds)
+    nbrs, cells, start = _engine(dims, r)
+    return lambda seeds: _close(nbrs, cells, start, seeds)[:2]
+
+
+# --- grids -------------------------------------------------------------------
 
 
 def _seed_indices(ps: PointSet) -> list[int]:
@@ -170,9 +214,8 @@ def _seed_indices(ps: PointSet) -> list[int]:
 
 def closure(ps: PointSet) -> Closure:
     """Least fixpoint containing ``ps`` under the 2-neighbour rule."""
-    m, n = ps.dims
-    _check(ps.dims, 2)
-    flags, _, generations = _close(m, n, _seed_indices(ps))
+    n = ps.dims.n
+    flags, _, generations = _close(*_engine(ps.dims, 2), _seed_indices(ps))
     pts = frozenset(
         Point(i // n + 1, i % n + 1) for i, hit in enumerate(flags) if hit
     )
@@ -210,116 +253,51 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
     """Decompose the closure of ``ps`` into its maximal rectangles.
 
     The closure of any seed is a disjoint union of fully infected rectangles
-    at pairwise taxicab distance >= 3.  Components are found by flood fill
-    under distance-<=2 adjacency; each component's bounding box must then be
-    completely infected, and that is checked at runtime.
+    at pairwise taxicab distance >= 3.  A rectangle's lowest-leftmost cell is
+    an infected cell with nothing infected below it or to its left; the
+    rectangle runs up and right from there.  That each rectangle is full,
+    that their sizes add up to the closure and that they are pairwise >= 3
+    apart are checked at runtime, which together prove the decomposition.
     """
     m, n = ps.dims
-    flags, _ = index_closure(ps.dims)(_seed_indices(ps))
-    seen = bytearray(m * n)
+    flags, count = index_closure(ps.dims)(_seed_indices(ps))
     rects: list[Rect] = []
-    for i, hit in enumerate(flags):
-        if not hit or seen[i]:
-            continue
-        stack = [i]
-        seen[i] = 1
-        lo_x = hi_x = i // n + 1
-        lo_y = hi_y = i % n + 1
-        while stack:
-            j = stack.pop()
-            x, y = j // n + 1, j % n + 1
-            lo_x, hi_x = min(lo_x, x), max(hi_x, x)
-            lo_y, hi_y = min(lo_y, y), max(hi_y, y)
-            for dx, dy in _INTERACTION_OFFSETS:
-                nx, ny = x + dx, y + dy
-                if 1 <= nx <= m and 1 <= ny <= n:
-                    k = (nx - 1) * n + (ny - 1)
-                    if flags[k] and not seen[k]:
-                        seen[k] = 1
-                        stack.append(k)
-        rect = Rect(Point(lo_x, lo_y), Point(hi_x, hi_y))
-        for cell in rect.cells():
-            if not flags[cell_index(ps.dims, cell)]:
-                raise EngineError(
-                    f"closure component bounding box {rect} has uninfected cell {tuple(cell)}"
-                )
-        rects.append(rect)
-    rects.sort(key=lambda r: r.lo)
+    for x in range(m):
+        top = (x + 1) * n
+        lo = flags.find(1, x * n, top)
+        while lo >= 0:
+            hi = flags.find(0, lo, top)
+            if hi < 0:
+                hi = top
+            # cells lo..hi-1 are a run up column x+1; if nothing is infected
+            # to the left of its bottom cell, that cell is a rectangle's corner
+            if x == 0 or not flags[lo - n]:
+                w = 1
+                while x + w < m and flags[lo + w * n]:
+                    w += 1
+                rect = Rect(Point(x + 1, lo - x * n + 1), Point(x + w, hi - x * n))
+                for k in range(1, w):
+                    gap = flags.find(0, lo + k * n, hi + k * n)
+                    if gap >= 0:
+                        raise EngineError(
+                            f"closure rectangle {rect} has uninfected cell "
+                            f"{tuple(cell_at(ps.dims, gap))}"
+                        )
+                rects.append(rect)
+            lo = flags.find(1, hi, top)
+    dec = RectDecomposition(tuple(rects))
+    if dec.covered != count:
+        raise EngineError(f"closure rectangles cover {dec.covered} cells, the closure {count}")
     for i, a in enumerate(rects):
         for b in rects[i + 1:]:
+            if b.lo.x - a.hi.x >= 3:
+                break  # the rectangles are in lo order: all later ones are as far
             if a.distance(b) < 3:
                 raise EngineError(f"closure rectangles {a} and {b} are too close")
-    return RectDecomposition(tuple(rects))
+    return dec
 
 
 # --- d-dimensional lattices -------------------------------------------------
-
-
-def cell_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from exc
-
-
-@lru_cache(maxsize=16)
-def _lattice_neighbour_table(side: int, dim: int) -> tuple[tuple[int, ...], ...]:
-    strides = [side ** k for k in range(dim)]
-    table = []
-    for i in range(side ** dim):
-        nbrs = []
-        for s in strides:
-            c = (i // s) % side
-            if c > 0:
-                nbrs.append(i - s)
-            if c < side - 1:
-                nbrs.append(i + s)
-        table.append(tuple(nbrs))
-    return tuple(table)
-
-
-def _lattice_close(side: int, dim: int, r: int, seeds: Iterable[int]) -> tuple[bytearray, int]:
-    cells = side ** dim
-    if cells <= 100_000:
-        nbr = _lattice_neighbour_table(side, dim).__getitem__
-    else:
-        strides = [side ** k for k in range(dim)]
-
-        def nbr(i: int) -> list[int]:
-            out = []
-            for s in strides:
-                c = (i // s) % side
-                if c > 0:
-                    out.append(i - s)
-                if c < side - 1:
-                    out.append(i + s)
-            return out
-
-    infected = bytearray(cells)
-    counts = bytearray(cells)
-    frontier: list[int] = []
-    for i in seeds:
-        if not infected[i]:
-            infected[i] = 1
-            frontier.append(i)
-    count = len(frontier)
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in nbr(u):
-                if not infected[v]:
-                    c = counts[v] + 1
-                    if c >= r:
-                        infected[v] = 1
-                        nxt.append(v)
-                    else:
-                        counts[v] = c
-        count += len(nxt)
-        frontier = nxt
-    return infected, count
 
 
 def lattice_closure(ls: LatticeSet, r: int = 2) -> LatticeSet:

@@ -35,7 +35,7 @@ from itertools import combinations
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet
-from .percolate import cell_at, cell_index, index_closure
+from .percolate import cell_at, cell_index, check_closure, index_closure
 from .verify import corner_cells
 
 DEFAULT_MAX_NODES = 200_000_000
@@ -253,7 +253,9 @@ def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | 
 def _drive(dims: GridDims | LatticeDims, rule: tuple, sizes,
            budget: SearchBudget) -> SearchResult:
     """Scan the blocks in ``sizes`` until one has a hit.  ``rule`` is passed to
-    every partition scan: (mode, symmetry, pruning) on grids, (r,) on lattices."""
+    every partition scan: (mode, symmetry, pruning) on grids, (r,) on lattices.
+    The cell cap is checked before any table or partition list is built."""
+    check_closure(dims, rule[0] if isinstance(dims, LatticeDims) else 2)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
     pool = None

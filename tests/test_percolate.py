@@ -4,6 +4,7 @@ import pytest
 
 from minps import (
     DomainError,
+    EngineError,
     GridDims,
     LatticeDims,
     LatticeSet,
@@ -21,7 +22,7 @@ from minps import (
     simple_minps,
     spans,
 )
-from minps.percolate import _close, _neighbour_table, cell_at, cell_index, index_closure
+from minps.percolate import _close, _engine, _neighbour_table, cell_at, cell_index, index_closure
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -62,10 +63,11 @@ class TestClosure:
         rng = random.Random(2)
         a = random_ps(rng, 5, 4)
         idx = [(p.x - 1) * 4 + (p.y - 1) for p in a.points]
-        flags, count, gens = _close(5, 4, idx)
+        engine = _engine(GridDims(5, 4), 2)
+        flags, count, gens = _close(*engine, idx)
         for _ in range(5):
             rng.shuffle(idx)
-            assert _close(5, 4, idx) == (flags, count, gens)
+            assert _close(*engine, idx) == (flags, count, gens)
 
 
 class TestPercolates:
@@ -119,8 +121,14 @@ class TestClosureRects:
 
     def test_cover_and_distance_on_random(self):
         rng = random.Random(9)
-        for _ in range(200):
-            a = random_ps(rng, 7, 6, 0.2)
+        inputs = [random_ps(rng, 7, 6, 0.2) for _ in range(200)]
+        inputs += [random_ps(rng, 1, rng.randint(1, 12), 0.3) for _ in range(50)]
+        inputs += [random_ps(rng, rng.randint(1, 12), 1, 0.3) for _ in range(50)]
+        cells = [(x, y) for x in range(1, 5) for y in range(1, 5)]
+        inputs += [
+            ps(4, 4, [c for i, c in enumerate(cells) if mask >> i & 1]) for mask in range(1 << 16)
+        ]
+        for a in inputs:
             cl = closure(a)
             dec = closure_rects(a)
             assert dec.covered == len(cl.infected)
@@ -131,6 +139,24 @@ class TestClosureRects:
             for i, ra in enumerate(dec.rects):
                 for rb in dec.rects[i + 1:]:
                     assert ra.distance(rb) >= 3
+
+    @pytest.mark.parametrize("infected", [
+        [(2, 2), (2, 3), (3, 2)],                                          # an L-shape
+        [(1, 1), (1, 2), (2, 2)],                           # a step: (2, 2) is in no rectangle
+        [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2), (5, 1), (5, 2)],  # squares 2 apart
+        [(1, 1), (1, 2), (2, 2), (5, 5), (5, 6), (6, 5)],  # sizes add up, (6, 6) is a hole
+    ])
+    def test_rejects_flags_that_are_not_a_closure(self, monkeypatch, infected):
+        dims = GridDims(6, 6)
+        flags = bytearray(dims.cells)
+        for p in infected:
+            flags[cell_index(dims, p)] = 1
+        monkeypatch.setattr(
+            "minps.percolate.index_closure",
+            lambda dims, r=2: lambda seeds: (flags, len(infected)),
+        )
+        with pytest.raises(EngineError):
+            closure_rects(ps(6, 6, infected))
 
     def test_close_rect_pair_merges(self):
         # two filled rectangles within interaction range close into a single
@@ -231,7 +257,28 @@ class TestLattice:
             r = rng.choice([1, 2, 3])
             pts = {(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(5)}
             ls = LatticeSet(LatticeDims(3, 3), frozenset(pts))
-            assert set(lattice_closure(ls, r=r).points) == naive_lattice_closure(3, 3, r, pts)
+            for r in (r, 300):  # 300 is above any cell's degree and a byte
+                assert set(lattice_closure(ls, r=r).points) == naive_lattice_closure(3, 3, r, pts)
+
+    def test_stride_neighbours_match_naive(self, monkeypatch):
+        # above _TABLE_MAX_CELLS neighbours come from the strides; force that
+        # path on small inputs, for grids and lattices alike
+        monkeypatch.setattr("minps.percolate._TABLE_MAX_CELLS", 0)
+        _neighbour_table.cache_clear()
+        rng = random.Random(31)
+        for _ in range(100):
+            m, n = rng.randint(1, 6), rng.randint(1, 5)
+            a = random_ps(rng, m, n, 0.3)
+            seeds = set(map(tuple, a.points))
+            cl = closure(a)
+            assert set(map(tuple, cl.infected.points)) == naive_closure(m, n, seeds)
+            assert cl.generations == naive_generations(m, n, seeds)
+        for r in (1, 2, 3):
+            for _ in range(20):
+                pts = {(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(5)}
+                ls = LatticeSet(LatticeDims(3, 3), frozenset(pts))
+                assert set(lattice_closure(ls, r=r).points) == naive_lattice_closure(3, 3, r, pts)
+        assert _neighbour_table.cache_info().currsize == 0
 
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setenv("MINPS_CELL_CAP", "10")

@@ -162,6 +162,21 @@ class TestMinPercolating:
         with pytest.raises(DomainError):
             min_percolating(GridDims(3, 3), r=3)
 
+    def test_cell_cap_checked_before_search_tables(self, monkeypatch):
+        from minps import ResourceLimitError
+        from minps.search import _tables
+
+        monkeypatch.setenv("MINPS_CELL_CAP", "10")
+        _tables.cache_clear()
+        calls = [
+            lambda: max_minps(GridDims(4, 4)), lambda: max_corner_avoiding(GridDims(4, 3)),
+            lambda: min_percolating(GridDims(4, 4)), lambda: min_percolating(LatticeDims(3, 3)),
+        ]
+        for call in calls:
+            with pytest.raises(ResourceLimitError):
+                call()
+        assert _tables.cache_info().currsize == 0
+
 
 class TestMaskEngineAgreement:
     def test_mask_closure_matches_bfs_engine(self):
