@@ -274,5 +274,9 @@ def save_points(path, ps: PointSet | LatticeSet) -> None:
 
 
 def load_points(path) -> PointSet | LatticeSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_points(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return parse_points(text)

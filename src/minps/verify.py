@@ -6,20 +6,35 @@ deletions suffices.  This holds on grids and, under the 2-neighbour rule,
 on [n]^d lattices.  A MinPS is corner-avoiding iff every single deletion
 also leaves both 2x2 corner rectangles (top-left and bottom-right)
 completely uninfected.
+
+Percolation takes one closure, the deletions a merge tree.  Under the
+2-neighbour rule a closure is the fixpoint of the box process: merge two
+boxes at taxicab distance <= 2 into their hull, in any order.  Inserting the
+points in order, node i is point i, its children the live boxes its
+insertion absorbed, its box the closure of its subtree.  The closure without
+v starts from the boxes of v's children and walks up v's ancestors, adding
+each one's other children, then settling its point.  The added boxes need
+no check: they were live together with the path child's box, so they are
+>= 3 from each other and from that box, which holds all settled below.  A
+deletion so settles a few boxes per ancestor instead of sweeping the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import le
 
-from .errors import DomainError
+from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeSet, Point, PointSet, Rect
-from .percolate import cell_index, index_closure
+from .percolate import cell_at, cell_index, index_closure
 
 OK = "ok"
 NOT_PERCOLATING = "not-percolating"
 REDUNDANT_POINT = "redundant-point"
 CORNER_REACHED = "corner-reached"
+
+_BUCKET = 8  # boxes with every side shorter are indexed by lo // _BUCKET
 
 
 @dataclass(frozen=True)
@@ -68,24 +83,95 @@ def is_minps(ps: PointSet | LatticeSet) -> Verdict:
 
 def is_corner_avoiding_minps(ps: PointSet) -> Verdict:
     """Certify minimality plus corner avoidance in one pass over deletions."""
-    return _certify(ps, [cell_index(ps.dims, p) for p in corner_cells(ps.dims)])
+    c = corners(ps.dims)
+    return _certify(ps, [(r.lo, r.hi) for r in (c.jl, c.jr)])
 
 
-def _certify(s: PointSet | LatticeSet, corner_idx) -> Verdict:
-    """The one deletion loop: percolation, then each single deletion in point
-    order, failing on a deletion that percolates or infects a corner cell."""
-    dims = s.dims
-    cells = dims.cells
-    close = index_closure(dims)
-    points = sorted(s.points)
-    seeds = [cell_index(dims, p) for p in points]
-    _, count = close(seeds)
-    if count != cells:
-        return Verdict(False, None, NOT_PERCOLATING)
+def _near(a, b) -> bool:
+    """True iff boxes ``a`` and ``b``, each ``(lo, hi)``, are <= 2 apart."""
+    gap = 0
+    for al, ah, bl, bh in zip(a[0], a[1], b[0], b[1]):
+        if bl > ah:
+            gap += bl - ah
+        elif al > bh:
+            gap += al - bh
+    return gap <= 2
+
+
+def _hull(a, b):
+    return tuple(map(min, a[0], b[0])), tuple(map(max, a[1], b[1]))
+
+
+def _candidates(index, b) -> list[int]:
+    """The live nodes in the buckets that can hold a box near ``b``, and the wide ones."""
+    spans = [range((l - 1 - _BUCKET) // _BUCKET, (h + 2) // _BUCKET + 1) for l, h in zip(*b)]
+    return [j for k in product(*spans) if k in index for j in index[k]] + index[None]
+
+
+def _merge_tree(points):
+    """Insert ``points`` in order into the box process; node i is point i.
+    Returns the parent (-1 while live), children and box of each node."""
+    parent, children, box, keys = [-1] * len(points), [[] for _ in points], [], []
+    index: dict = {None: []}  # bucket -> live boxes with short sides; None -> the rest
     for i, p in enumerate(points):
-        flags, count = close(seeds[:i] + seeds[i + 1:])
-        if count == cells:
+        b = last = (p, p)
+        while True:
+            q = b
+            for j in _candidates(index, b):
+                if _near(b, box[j]):
+                    b, last = _hull(b, box[j]), box[j]
+                    index[keys[j]].remove(j)
+                    parent[j] = i
+                    children[i].append(j)
+            if b in (q, last):  # nothing live is near q, or near the one box absorbed
+                break
+        short = all(h - l < _BUCKET for l, h in zip(*b))
+        keys.append(tuple(c // _BUCKET for c in b[0]) if short else None)
+        index.setdefault(keys[i], []).append(i)
+        box.append(b)
+    return parent, children, box
+
+
+def _settle(live, b):
+    """Add box ``b`` to ``live``, boxes pairwise >= 3 apart, and merge until
+    they are again.  A box passed over while ``b`` was smaller is seen again."""
+    while True:
+        keep, missed, last = [], None, None
+        for c in live:
+            if _near(b, c):
+                b, last = _hull(b, c), c
+            else:
+                missed = missed or b
+                keep.append(c)
+        live = keep
+        if missed in (None, b) or b == last:
+            break
+    live.append(b)
+    return live
+
+
+def _certify(s: PointSet | LatticeSet, corner_boxes) -> Verdict:
+    """Percolation by one closure, then each single deletion in point order
+    through the merge tree, failing on one that percolates or meets a corner box."""
+    dims = s.dims
+    points = sorted(s.points)
+    _, count = index_closure(dims)([cell_index(dims, p) for p in points])
+    if count != dims.cells:
+        return Verdict(False, None, NOT_PERCOLATING)
+    full = (cell_at(dims, 0), cell_at(dims, dims.cells - 1))
+    parent, children, box = _merge_tree(points)
+    if parent.count(-1) != 1 or box[-1] != full:
+        raise EngineError(f"the box process ends at {box[-1]}, the closure fills {dims}")
+    for v, p in enumerate(points):
+        live, child, a = [box[c] for c in children[v]], v, parent[v]
+        # once the closure without p fills the box of child, it is cl(S) above
+        while a >= 0 and live != [box[child]]:
+            live += [box[c] for c in children[a] if c != child]
+            live = _settle(live, (points[a], points[a]))
+            child, a = a, parent[a]
+        if live == [box[child]]:
             return Verdict(False, p, REDUNDANT_POINT)
-        if any(flags[c] for c in corner_idx):
+        if any(all(map(le, b[0], c[1])) and all(map(le, c[0], b[1]))
+               for b in live for c in corner_boxes):
             return Verdict(False, p, CORNER_REACHED)
     return Verdict(True, None, OK)

@@ -87,6 +87,29 @@ def naive_is_minps(m, n, seeds):
     return all(not naive_percolates(m, n, seeds - {v}) for v in seeds)
 
 
+def naive_corner_cells(m, n):
+    """The two protected 2x2 corner squares: top-left and bottom-right."""
+    return {(cx + dx, cy + dy)
+            for cx, cy in ((1, n - 1), (m - 1, 1)) for dx in (0, 1) for dy in (0, 1)}
+
+
+def naive_certify(m, n, seeds, corner=False):
+    """(holds, witness, detail) for the MinPS property, or with ``corner``
+    for the corner-avoiding one: the first deletion in point order that
+    still percolates, or (with ``corner``) infects a corner cell, fails."""
+    seeds = set(seeds)
+    if not naive_percolates(m, n, seeds):
+        return (False, None, "not-percolating")
+    protected = naive_corner_cells(m, n) if corner else set()
+    for v in sorted(seeds):
+        cl = naive_closure(m, n, seeds - {v})
+        if len(cl) == m * n:
+            return (False, v, "redundant-point")
+        if cl & protected:
+            return (False, v, "corner-reached")
+    return (True, None, "ok")
+
+
 def brute_force_max_minps(m, n):
     """Largest MinPS size by enumerating every subset with the naive engine."""
     cells = [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
@@ -101,9 +124,7 @@ def brute_force_max_minps(m, n):
 
 
 def brute_force_max_corner_avoiding(m, n):
-    corner = set()
-    for cx, cy in ((1, n - 1), (m - 1, 1)):
-        corner |= {(cx + dx, cy + dy) for dx in (0, 1) for dy in (0, 1)}
+    corner = naive_corner_cells(m, n)
     cells = [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
     best = 0
     for mask in range(1, 1 << (m * n)):

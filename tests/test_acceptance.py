@@ -30,7 +30,6 @@ from minps import (
     max_corner_avoiding,
     max_minps,
     min_percolating,
-    percolates,
     strip_chain,
 )
 
@@ -141,7 +140,6 @@ def test_c3_construction_certification_sweep():
 
 
 def test_c4_dense_lower_bound_sets(dense_squares):
-    rng = random.Random(20240)
     for n in (66, 132, 264):
         cs, (t, big_m, big_n, formula) = dense_squares[n]
         assert cs.dims == GridDims(n, n)
@@ -149,13 +147,8 @@ def test_c4_dense_lower_bound_sets(dense_squares):
         assert len(cs) >= formula
         floor = 4 * n * n / 33 - 8 * (n**1.5 + n * n**0.5)
         assert formula >= floor
-        if n <= 132:
-            assert is_minps(cs.points).holds, f"dense_minps({n},{n}) minimality"
-        else:
-            assert percolates(cs.points)
-            pts = cs.points.sorted_points()
-            for p in rng.sample(pts, 100):
-                assert not percolates(cs.points.without(p)), f"deletion {p}"
+        # every single deletion, all 8,208 of them at 264x264
+        assert is_minps(cs.points).holds, f"dense_minps({n},{n}) minimality"
     sizes = {n: len(dense_squares[n][0]) for n in (66, 132, 264)}
     print(f"ACCEPTANCE 4 PASS: dense sets certified, sizes {sizes}, "
           f"recorded formulas {[dense_squares[n][1][3] for n in (66, 132, 264)]}")

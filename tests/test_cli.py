@@ -122,6 +122,16 @@ def test_verify_malformed_header_exits_two(tmp_path, capsys, header):
     assert "error: line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [["verify", "--property", "minps"], ["render"]])
+def test_non_utf8_file_exits_two(tmp_path, capsys, cmd):
+    path = tmp_path / "bad.pts"
+    path.write_bytes(b"dims 2 2\n1 1\xff\n")
+    assert run(cmd + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.pts" in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert run(["search", "--target", "nope", "--dims", "2", "2"]) == 2
     assert run(["no-such-command"]) == 2

@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
+import minps.verify
 from minps import (
     DomainError,
+    EngineError,
     GridDims,
     LatticeDims,
     LatticeSet,
@@ -17,15 +20,32 @@ from minps import (
     is_minps,
     lattice_minps,
     lattice_percolates,
+    max_corner_avoiding,
+    max_minps,
+    percolates,
     simple_minps,
 )
 from minps.verify import CORNER_REACHED, NOT_PERCOLATING, OK, REDUNDANT_POINT
 
-from oracles import naive_lattice_closure
+from oracles import naive_certify, naive_lattice_closure, naive_percolates
 
 
 def ps(m, n, pts):
     return PointSet(GridDims(m, n), frozenset(pts))
+
+
+def verdict(v):
+    return (v.holds, v.witness, v.detail)
+
+
+def grid_cells(m, n):
+    return [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
+
+
+def subsets(m, n):
+    cells = grid_cells(m, n)
+    for mask in range(1 << len(cells)):
+        yield [c for i, c in enumerate(cells) if mask >> i & 1]
 
 
 class TestCorners:
@@ -68,25 +88,28 @@ class TestIsMinps:
 
 class TestLatticeIsMinps:
     def test_agrees_with_naive_oracle(self):
-        dims = LatticeDims(3, 3)
-        cells = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
-
-        def perc(pts):
-            return len(naive_lattice_closure(3, 3, 2, pts)) == 27
-
         rng = random.Random(21)
-        outcomes = set()
-        for _ in range(200):
-            pts = set(rng.sample(cells, rng.randint(3, 7)))
-            v = is_minps(LatticeSet(dims, frozenset(pts)))
-            if not perc(pts):
-                want = (False, None, NOT_PERCOLATING)
-            else:
-                redundant = [p for p in sorted(pts) if perc(pts - {p})]
-                want = (False, redundant[0], REDUNDANT_POINT) if redundant else (True, None, OK)
-            assert (v.holds, v.witness, v.detail) == want
-            outcomes.add(v.detail)
-        assert outcomes == {OK, NOT_PERCOLATING, REDUNDANT_POINT}
+        # side, dim, samples, smallest and largest sample size
+        for side, d, samples, lo, hi in [(3, 3, 200, 3, 7), (2, 3, 60, 1, 4),
+                                         (4, 3, 60, 5, 12), (3, 2, 100, 2, 4)]:
+            dims = LatticeDims(side, d)
+            cells = list(product(range(1, side + 1), repeat=d))
+
+            def perc(pts):
+                return len(naive_lattice_closure(side, d, 2, pts)) == dims.cells
+
+            outcomes = set()
+            for _ in range(samples):
+                pts = set(rng.sample(cells, rng.randint(lo, hi)))
+                v = is_minps(LatticeSet(dims, frozenset(pts)))
+                if not perc(pts):
+                    want = (False, None, NOT_PERCOLATING)
+                else:
+                    redundant = [p for p in sorted(pts) if perc(pts - {p})]
+                    want = (False, redundant[0], REDUNDANT_POINT) if redundant else (True, None, OK)
+                assert (v.holds, v.witness, v.detail) == want, (dims, sorted(pts))
+                outcomes.add(v.detail)
+            assert outcomes == {OK, NOT_PERCOLATING, REDUNDANT_POINT}, dims
 
     def test_names_least_redundant_point(self):
         # the added cell makes an earlier seed, (1, 4, 1), redundant as well
@@ -120,6 +143,108 @@ class TestCornerAvoiding:
     def test_dims_too_small(self):
         with pytest.raises(DomainError):
             is_corner_avoiding_minps(ps(1, 3, [(1, 1), (1, 3)]))
+
+
+class TestAgainstNaiveCertify:
+    """Both verifiers against ``naive_certify``, one sweep closure per deletion."""
+
+    def check(self, m, n, pts):
+        """The details of both verdicts; the corner one is None below 2x2."""
+        s = ps(m, n, pts)
+        want = naive_certify(m, n, pts)
+        assert verdict(is_minps(s)) == want, (m, n, sorted(pts))
+        if min(m, n) < 2:
+            return want[2], None
+        corner = naive_certify(m, n, pts, corner=True)
+        assert verdict(is_corner_avoiding_minps(s)) == corner, (m, n, sorted(pts))
+        return want[2], corner[2]
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 3)])
+    def test_every_subset(self, m, n):
+        outcomes = {d for pts in subsets(m, n) for d in self.check(m, n, pts)}
+        assert outcomes == {OK, NOT_PERCOLATING, REDUNDANT_POINT, CORNER_REACHED}
+
+    def test_thin_grids(self):
+        for k in range(1, 10):
+            for m, n in {(1, k), (k, 1)}:
+                for pts in subsets(m, n):
+                    self.check(m, n, pts)
+
+    def test_random_grids(self):
+        rng = random.Random(33)
+        outcomes = set()
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            cells = grid_cells(m, n)
+            pts = set(rng.sample(cells, rng.randint(0, len(cells))))
+            outcomes.update(self.check(m, n, pts))
+            if naive_percolates(m, n, pts):  # prune to a minimal set, then add a cell
+                for p in rng.sample(sorted(pts), len(pts)):
+                    if naive_percolates(m, n, pts - {p}):
+                        pts.discard(p)
+                outcomes.update(self.check(m, n, pts))
+                outcomes.update(self.check(m, n, pts | {rng.choice(cells)}))
+        assert outcomes == {None, OK, NOT_PERCOLATING, REDUNDANT_POINT, CORNER_REACHED}
+
+    def test_search_witnesses_plus_a_cell(self):
+        for search, (m, n) in [(max_minps, (4, 4)), (max_minps, (5, 4)),
+                               (max_corner_avoiding, (4, 4))]:
+            pts = set(search(GridDims(m, n)).witness.points)
+            assert self.check(m, n, pts)[search is max_corner_avoiding] == OK
+            for c in grid_cells(m, n):
+                if c not in pts:
+                    assert self.check(m, n, pts | {c})[0] == REDUNDANT_POINT
+
+
+class TestMergeTreeIndex:
+    """Large inputs through the box index's wide list and its no-growth
+    path, against one BFS closure per deletion."""
+
+    def check(self, s):
+        v = verdict(is_minps(s))
+        if not percolates(s):
+            assert v == (False, None, NOT_PERCOLATING)
+            return
+        redundant = next((p for p in sorted(s.points) if percolates(s.without(p))), None)
+        assert v == ((True, None, OK) if redundant is None else (False, redundant, REDUNDANT_POINT))
+
+    def test_full_grid(self):
+        s = ps(30, 30, grid_cells(30, 30))
+        self.check(s)
+        assert is_minps(s).witness == (1, 1)
+
+    def test_isolated_seeds_plus_a_column(self):
+        iso = [(x, y) for x, y in grid_cells(40, 40) if (x + 2 * y) % 5 == 0]
+        self.check(ps(40, 40, iso))
+        self.check(ps(40, 40, iso + [(40, y) for y in range(1, 41)]))
+
+    def test_near_critical_random(self):
+        rng = random.Random(8)
+        while True:
+            s = ps(40, 40, [c for c in grid_cells(40, 40) if rng.random() < 0.07])
+            if percolates(s):
+                break
+        self.check(s)
+        pts = set(s.points)
+        for p in sorted(pts):  # prune to a minimal set: every deletion then runs
+            if percolates(ps(40, 40, pts - {p})):
+                pts.discard(p)
+        self.check(ps(40, 40, pts))
+        assert is_minps(ps(40, 40, pts)).holds
+
+
+def test_engine_error_when_the_tree_disagrees_with_the_closure(monkeypatch):
+    real = minps.verify.index_closure
+
+    def full_count(dims, r=2):
+        close = real(dims, r)
+        return lambda seeds: (close(seeds)[0], dims.cells)
+
+    monkeypatch.setattr(minps.verify, "index_closure", full_count)
+    with pytest.raises(EngineError):
+        is_minps(ps(3, 3, [(2, 2)]))
+    with pytest.raises(EngineError):
+        is_minps(LatticeSet(LatticeDims(3, 3), frozenset({(1, 1, 1), (3, 3, 3)})))
 
 
 def test_minps_deletion_closures_are_proper_rect_unions():
