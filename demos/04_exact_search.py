@@ -1,9 +1,11 @@
 """Exhaustive answers on small grids.
 
 The search enumerates seed sets as bitmasks in cardinality blocks with
-symmetry reduction and a local pruning rule, and certifies exactness when
-the space is fully covered.  Thin grids follow clean closed formulas; the
-first genuinely 2D case already springs a surprise.
+symmetry reduction and a local pruning rule.  Each block stops at its first
+hit, and the answer is certified exact when every block before it was fully
+covered and the deciding block was covered up to that hit.  Thin grids
+follow clean closed formulas; the first genuinely 2D case already springs a
+surprise.
 """
 
 from minps import (

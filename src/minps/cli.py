@@ -10,8 +10,6 @@ import argparse
 import sys
 
 from .construct import (
-    CertifiedLatticeSet,
-    CertifiedSet,
     chain,
     corner_avoiding_strip,
     dense_minps,
@@ -50,39 +48,24 @@ def _need(params: dict[str, int], *keys: str) -> list[int]:
     return [params[k] for k in keys]
 
 
-def _build_family(family: str, params: dict[str, int]) -> CertifiedSet | CertifiedLatticeSet:
-    if family == "simple":
-        m, n = _need(params, "m", "n")
-        return simple_minps(m, n)
-    if family == "small":
-        (k,) = _need(params, "k")
-        return corner_avoiding_strip(k)
-    if family == "glue":
-        k1, k2 = _need(params, "k1", "k2")
-        return glue(corner_avoiding_strip(k1), corner_avoiding_strip(k2))
-    if family == "chain":
-        k, reps = _need(params, "k", "reps")
-        return chain(corner_avoiding_strip(k), reps)
-    if family == "double":
-        k, t = _need(params, "k", "t")
-        return double(corner_avoiding_strip(k), t)
-    if family == "justup":
-        big_m, big_n = _need(params, "M", "N")
-        return strip_chain(big_m, big_n)
-    if family == "lower":
-        m, n = _need(params, "m", "n")
-        return dense_minps(m, n)
-    if family == "cavreg":
-        m, n = _need(params, "m", "n")
-        return embed_corner_avoiding(dense_minps(m, n))
-    if family == "ddim":
-        n, d = _need(params, "n", "d")
-        return lattice_minps(n, d)
-    raise DomainError(f"unknown family {family!r}")
+# family -> (the --params keys it needs, builder taking them in that order)
+_FAMILIES = {
+    "simple": (("m", "n"), simple_minps),
+    "small": (("k",), corner_avoiding_strip),
+    "glue": (("k1", "k2"),
+             lambda k1, k2: glue(corner_avoiding_strip(k1), corner_avoiding_strip(k2))),
+    "chain": (("k", "reps"), lambda k, reps: chain(corner_avoiding_strip(k), reps)),
+    "double": (("k", "t"), lambda k, t: double(corner_avoiding_strip(k), t)),
+    "justup": (("M", "N"), strip_chain),
+    "lower": (("m", "n"), dense_minps),
+    "cavreg": (("m", "n"), lambda m, n: embed_corner_avoiding(dense_minps(m, n))),
+    "ddim": (("n", "d"), lattice_minps),
+}
 
 
 def _cmd_construct(args) -> int:
-    built = _build_family(args.family, _parse_params(args.params))
+    keys, build = _FAMILIES[args.family]
+    built = build(*_need(_parse_params(args.params), *keys))
     save_points(args.output, built.points)
     print(f"family={args.family} dims={built.dims} size={len(built)} "
           f"claim={built.claim} -> {args.output}")
@@ -190,8 +173,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named family and write a .pts file")
     p.add_argument("--family", required=True,
-                   choices=["simple", "small", "glue", "chain", "double",
-                            "justup", "lower", "cavreg", "ddim"])
+                   choices=list(_FAMILIES))
     p.add_argument("--params", nargs="*", default=[], metavar="key=value")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_construct)

@@ -31,37 +31,28 @@ LATTICE_DENSITY_FLOOR = {3: Fraction(1, 33)}
 
 @dataclass(frozen=True)
 class CertifiedSet:
-    """A point set bundled with its advertised property and recorded size.
+    """A point set (grid or lattice) bundled with its advertised property
+    and recorded size.
 
     ``size_formula`` is the size the driving formula predicts.  For every
     family except dense_minps it equals len(points) exactly; dense_minps
     records its guaranteed lower bound, which the built set may exceed.
     """
 
-    points: PointSet
+    points: PointSet | LatticeSet
     claim: str
     size_formula: int
 
     @property
-    def dims(self) -> GridDims:
+    def dims(self) -> GridDims | LatticeDims:
         return self.points.dims
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class CertifiedLatticeSet:
-    points: LatticeSet
-    claim: str
-    size_formula: int
-
-    @property
-    def dims(self) -> LatticeDims:
-        return self.points.dims
-
-    def __len__(self) -> int:
-        return len(self.points)
+# The lattice name stays importable; one class serves grids and lattices.
+CertifiedLatticeSet = CertifiedSet
 
 
 def _ladder_pairs(k: int, a: int, b: int) -> set[tuple[int, int]]:
@@ -231,6 +222,11 @@ def extend(a: CertifiedSet, axis: str = "x") -> CertifiedSet:
     raise EngineError("neither one-column extension percolates; engine bug")
 
 
+def _built_size(t: int, M: int, N: int) -> int:
+    # strip_chain(M, N) doubled t times: each glue adds two connectors.
+    return (1 << t) * (4 * M * (N + 1) + 2 * (M - 1)) + 2 * ((1 << t) - 1)
+
+
 def dense_minps_params(m: int, n: int) -> tuple[int, int, int, int] | None:
     """Best feasible (t, M, N, 2^(t+2)*M*(N+1)) for the doubling recipe at m x n.
 
@@ -247,8 +243,7 @@ def dense_minps_params(m: int, n: int) -> tuple[int, int, int, int] | None:
             break
         N = (n - 2 * t - 2 * M) // 3
         if N >= 1:
-            built = (1 << t) * (4 * M * (N + 1) + 2 * (M - 1)) + 2 * ((1 << t) - 1)
-            key = (built, -t)
+            key = (_built_size(t, M, N), -t)
             if best is None or key > best[0]:
                 best = (key, (t, M, N, (1 << (t + 2)) * M * (N + 1)))
         t += 1
@@ -270,8 +265,7 @@ def dense_minps(m: int, n: int) -> CertifiedSet:
     if params is None:
         return simple
     t, M, N, formula = params
-    built = (1 << t) * (4 * M * (N + 1) + 2 * (M - 1)) + 2 * ((1 << t) - 1)
-    if built < len(simple):
+    if _built_size(t, M, N) < len(simple):
         return simple
     out: CertifiedSet = double(strip_chain(M, N), t)
     while out.dims.m < m:
@@ -323,7 +317,7 @@ def corner_avoiding_square(side: int) -> CertifiedSet:
     raise DomainError(f"no corner-avoiding construction on a {side}x{side} square")
 
 
-def lattice_minps(n: int, d: int, certify: bool = True) -> CertifiedSet | CertifiedLatticeSet:
+def lattice_minps(n: int, d: int) -> CertifiedSet:
     """A certified minimal percolating set of [n]^d under the 2-neighbour rule.
 
     d=2 delegates to dense_minps.  For d=3 the bottom plane carries a
@@ -339,9 +333,8 @@ def lattice_minps(n: int, d: int, certify: bool = True) -> CertifiedSet | Certif
     point two planes away from a fully infected slab always re-infects
     through the gap, so the climb is what keeps the set minimal.  d=3
     needs a corner-avoiding square base, so n must be 8 or at least 18.
-    With ``certify`` (the default) percolation and full single-deletion
-    minimality are checked on the spot; an EngineError reports any
-    violation.
+    Percolation and full single-deletion minimality are checked on the
+    spot; an EngineError reports any violation.
     """
     if d == 2:
         return dense_minps(n, n)
@@ -357,13 +350,12 @@ def lattice_minps(n: int, d: int, certify: bool = True) -> CertifiedSet | Certif
     if n % 2 == 0:
         pts.add((3, n - 2, n))
     ls = LatticeSet(LatticeDims(n, 3), frozenset(pts))
-    if certify:
-        verdict = is_minps(ls)
-        if not verdict:
-            raise EngineError(
-                f"lattice construction on [{n}]^3 is not a MinPS: {verdict.detail} {verdict.witness}"
-            )
-    return CertifiedLatticeSet(ls, MINPS, len(ls))
+    verdict = is_minps(ls)
+    if not verdict:
+        raise EngineError(
+            f"lattice construction on [{n}]^3 is not a MinPS: {verdict.detail} {verdict.witness}"
+        )
+    return CertifiedSet(ls, MINPS, len(ls))
 
 
 def size_bounds(m: int, n: int) -> tuple[int, Fraction]:

@@ -16,13 +16,19 @@ minimal (and never beats a smaller percolating set).
 
 On grids, subsets are dense bitmasks; the percolation test is a
 shift-and-or sweep on those masks, entirely independent of the BFS engine
-in ``percolate`` (the two are cross-checked in the tests).  On lattices,
+in ``percolate`` (the two are cross-checked in the tests).  Both
+maximization targets share one deletion test: no single deletion may
+percolate or meet a corner mask, which is empty for max_minps.  On lattices,
 each candidate is closed by the r-neighbour engine in ``percolate``.
 
 Grids and lattices share one block loop.  Every block is split into partitions
-by first cell, each with a deterministic share of the node budget, so
-results and node counts do not depend on the worker count.  The time budget
-is checked on the first node of each partition and every 4096 nodes after.
+by first cell, each with a deterministic share of the node budget.  The
+partitions are scanned in first-cell order and the block stops at the first
+one with a hit, so results and node counts do not depend on the worker
+count.  A result is ``exhaustive`` when no scanned partition ran out of
+budget; partitions after the hit are never scanned and do not count.  The
+time budget is checked on the first node of each partition and every 4096
+nodes after.
 """
 
 from __future__ import annotations
@@ -156,11 +162,12 @@ def _is_canonical(cand: tuple[int, ...], transforms) -> bool:
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     """Scan one (block, first-cell) partition; returns (hit, nodes, truncated)."""
-    dims, s, first, node_cap, deadline, (mode, symmetry, pruning) = args
+    dims, s, first, node_cap, deadline, mode = args
     t = _tables(dims.m, dims.n)
     full = t.full
     bit = t.bit
     transforms = t.corner_transforms if mode == "corner" else t.transforms
+    corner = t.corner_mask if mode == "corner" else 0
     base = bit[first]
     nodes = 0
     for rest in combinations(range(first + 1, t.cells), s - 1):
@@ -172,31 +179,22 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         mask = base
         for i in rest:
             mask |= bit[i]
-        if pruning and _has_redundant_seed(t, mask):
-            continue
-        if mode == "perc":
-            if symmetry and not _is_canonical((first,) + rest, transforms):
-                continue
-            if _closure_mask(t, mask) == full:
-                return (first,) + rest, nodes, False
-            continue
-        if _closure_mask(t, mask) != full:
-            continue
-        if symmetry and not _is_canonical((first,) + rest, transforms):
+        if _has_redundant_seed(t, mask):
             continue
         cand = (first,) + rest
-        if mode == "minps":
-            if any(_closure_mask(t, mask ^ bit[i]) == full for i in cand):
-                continue
-            return cand, nodes, False
-        # mode == "corner"
-        ok = True
+        if mode == "perc":
+            if _is_canonical(cand, transforms) and _closure_mask(t, mask) == full:
+                return cand, nodes, False
+            continue
+        if _closure_mask(t, mask) != full or not _is_canonical(cand, transforms):
+            continue
+        # One deletion test for both targets: no deletion may percolate or,
+        # for "corner", reach a protected corner cell (the mask is 0 for "minps").
         for i in cand:
             cl = _closure_mask(t, mask ^ bit[i])
-            if cl == full or cl & t.corner_mask:
-                ok = False
+            if cl == full or cl & corner:
                 break
-        if ok:
+        else:
             return cand, nodes, False
     return None, nodes, False
 
@@ -204,7 +202,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
 def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     """The lattice counterpart of ``_scan_partition``: a candidate is a hit
     when its r-neighbour closure fills the lattice."""
-    dims, s, first, node_cap, deadline, (r,) = args
+    dims, s, first, node_cap, deadline, r = args
     close = index_closure(dims, r)
     cells = dims.cells
     nodes = 0
@@ -221,28 +219,24 @@ def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
 
 
 def _run_block(dims, rule, s, node_cap, deadline, pool):
-    """Scan a whole cardinality block. Partition budgets are fixed up front,
-    so the outcome is identical for any worker count."""
+    """Scan a cardinality block's partitions in first-cell order and stop at
+    the first one with a hit.  Partition budgets are fixed shares of
+    ``node_cap``, so the outcome is identical for any worker count.  Nodes
+    and truncation are summed over the partitions scanned, the hit's included."""
     scan = _scan_lattice_partition if isinstance(dims, LatticeDims) else _scan_partition
-    parts = list(range(0, dims.cells - s + 1))
-    base_cap, extra = divmod(node_cap, len(parts))
-    arglist = [
-        (dims, s, first, base_cap + (1 if i < extra else 0), deadline, rule)
-        for i, first in enumerate(parts)
-    ]
-    if pool is not None and len(parts) > 1:
-        results = list(pool.map(scan, arglist))
-    else:
-        results = [scan(a) for a in arglist]
-    hit = None
+    parts = dims.cells - s + 1
+    base_cap, extra = divmod(node_cap, parts)
+    arglist = [(dims, s, first, base_cap + (first < extra), deadline, rule)
+               for first in range(parts)]
+    results = pool.map(scan, arglist) if pool is not None and parts > 1 else map(scan, arglist)
     nodes = 0
     truncated = False
-    for h, used, trunc in results:
+    for hit, used, trunc in results:
         nodes += used
         truncated = truncated or trunc
-        if hit is None and h is not None:
-            hit = h
-    return hit, nodes, truncated
+        if hit is not None:
+            return hit, nodes, truncated
+    return None, nodes, truncated
 
 
 def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | LatticeSet:
@@ -250,12 +244,16 @@ def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | 
     return cls(dims, frozenset(cell_at(dims, i) for i in cand))
 
 
-def _drive(dims: GridDims | LatticeDims, rule: tuple, sizes,
+def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
            budget: SearchBudget) -> SearchResult:
     """Scan the blocks in ``sizes`` until one has a hit.  ``rule`` is passed to
-    every partition scan: (mode, symmetry, pruning) on grids, (r,) on lattices.
-    The cell cap is checked before any table or partition list is built."""
-    check_closure(dims, rule[0] if isinstance(dims, LatticeDims) else 2)
+    every partition scan: the mode ("minps", "corner" or "perc") on grids, the
+    threshold r on lattices.  The result is ``exhaustive`` when no partition
+    that was scanned ran out of nodes or time: the blocks before the last were
+    then covered in full, and the last up to its first hit, which settles the
+    value and the lexicographically least witness.  The cell cap is checked
+    before any table or partition list is built."""
+    check_closure(dims, rule if isinstance(dims, LatticeDims) else 2)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
     pool = None
@@ -279,7 +277,7 @@ def _drive(dims: GridDims | LatticeDims, rule: tuple, sizes,
                 break
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return SearchResult(
         value=value,
         witness=_witness(dims, hit),
@@ -289,40 +287,30 @@ def _drive(dims: GridDims | LatticeDims, rule: tuple, sizes,
     )
 
 
-def max_minps(dims: GridDims, budget: SearchBudget | None = None, *,
-              symmetry: bool = True, pruning: bool = True) -> SearchResult:
+def max_minps(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
     """Exact maximum size of a MinPS, with a lexicographically-least canonical
     witness.  With an exhausted budget the value is a lower bound and
     ``exhaustive`` is False."""
-    budget = budget or SearchBudget()
-    sizes = range(dims.cells, 0, -1)
-    return _drive(dims, ("minps", symmetry, pruning), sizes, budget)
+    return _drive(dims, "minps", range(dims.cells, 0, -1), budget or SearchBudget())
 
 
-def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None, *,
-                        symmetry: bool = True, pruning: bool = True) -> SearchResult:
+def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
     """Exact maximum size of a corner-avoiding MinPS; value 0 with an empty
     witness when no such set exists.  Symmetry reduction uses only the
     transforms that preserve the pair of protected corners."""
     if dims.m < 2 or dims.n < 2:
         raise DomainError(f"corner-avoiding search needs at least 2x2, got {dims}")
-    budget = budget or SearchBudget()
-    sizes = range(dims.cells, 0, -1)
-    return _drive(dims, ("corner", symmetry, pruning), sizes, budget)
+    return _drive(dims, "corner", range(dims.cells, 0, -1), budget or SearchBudget())
 
 
 def min_percolating(dims: GridDims | LatticeDims, budget: SearchBudget | None = None,
                     *, r: int = 2) -> SearchResult:
     """Smallest percolating set: 2D grids with the standard rule, or a
     [side]^d lattice with threshold ``r``."""
-    budget = budget or SearchBudget()
-    if isinstance(dims, GridDims):
-        if r != 2:
-            raise DomainError("2D grid search supports the 2-neighbour rule only")
-        rule = ("perc", True, True)
-    else:
-        rule = (r,)
-    return _drive(dims, rule, range(1, dims.cells + 1), budget)
+    if isinstance(dims, GridDims) and r != 2:
+        raise DomainError("2D grid search supports the 2-neighbour rule only")
+    rule = "perc" if isinstance(dims, GridDims) else r
+    return _drive(dims, rule, range(1, dims.cells + 1), budget or SearchBudget())
 
 
 def monotonicity_table(max_m: int, max_n: int,

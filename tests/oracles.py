@@ -110,36 +110,26 @@ def naive_certify(m, n, seeds, corner=False):
     return (True, None, "ok")
 
 
-def brute_force_max_minps(m, n):
-    """Largest MinPS size by enumerating every subset with the naive engine."""
+def _brute_force_max(m, n, holds):
+    """(size, set) of the largest subset for which ``holds`` is true, the set
+    being the lexicographically least of that size as a sorted tuple of cells;
+    (0, ()) when no subset qualifies."""
     cells = [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
-    best = 0
-    for mask in range(1, 1 << (m * n)):
-        chosen = [cells[i] for i in range(m * n) if mask >> i & 1]
-        if len(chosen) <= best:
-            continue
-        if naive_is_minps(m, n, chosen):
-            best = len(chosen)
-    return best
+    for s in range(m * n, 0, -1):
+        for chosen in combinations(cells, s):
+            if holds(chosen):
+                return s, chosen
+    return 0, ()
+
+
+def brute_force_max_minps(m, n):
+    """Largest MinPS by enumerating subsets with the naive engine."""
+    return _brute_force_max(m, n, lambda chosen: naive_is_minps(m, n, chosen))
 
 
 def brute_force_max_corner_avoiding(m, n):
-    corner = naive_corner_cells(m, n)
-    cells = [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
-    best = 0
-    for mask in range(1, 1 << (m * n)):
-        chosen = {cells[i] for i in range(m * n) if mask >> i & 1}
-        if len(chosen) <= best or not naive_percolates(m, n, chosen):
-            continue
-        ok = True
-        for v in chosen:
-            cl = naive_closure(m, n, chosen - {v})
-            if len(cl) == m * n or cl & corner:
-                ok = False
-                break
-        if ok:
-            best = len(chosen)
-    return best
+    """Largest corner-avoiding MinPS by enumerating subsets with the naive engine."""
+    return _brute_force_max(m, n, lambda chosen: naive_certify(m, n, chosen, corner=True)[0])
 
 
 def brute_force_min_percolating(m, n):

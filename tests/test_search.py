@@ -4,6 +4,7 @@ from minps import (
     DomainError,
     GridDims,
     LatticeDims,
+    PointSet,
     SearchBudget,
     is_corner_avoiding_minps,
     is_minps,
@@ -29,17 +30,10 @@ class TestMaxMinps:
     @pytest.mark.parametrize("m,n", SMALL_GRIDS)
     def test_matches_naive_brute_force(self, m, n):
         res = max_minps(GridDims(m, n))
+        value, witness = brute_force_max_minps(m, n)
         assert res.exhaustive
-        assert res.value == brute_force_max_minps(m, n)
-
-    @pytest.mark.parametrize("m,n", SMALL_GRIDS + [(4, 4), (5, 3)])
-    def test_pruning_and_symmetry_change_nothing(self, m, n):
-        fast = max_minps(GridDims(m, n))
-        plain = max_minps(GridDims(m, n), symmetry=False, pruning=False)
-        assert fast.value == plain.value
-        sym_only = max_minps(GridDims(m, n), pruning=False)
-        assert sym_only.value == fast.value
-        assert sym_only.witness == fast.witness
+        assert res.value == value
+        assert res.witness == PointSet(GridDims(m, n), frozenset(witness))
 
     def test_witness_is_certified(self):
         for m, n in [(3, 3), (4, 4), (5, 2)]:
@@ -87,8 +81,10 @@ class TestMaxCornerAvoiding:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
     def test_matches_naive_brute_force(self, m, n):
         res = max_corner_avoiding(GridDims(m, n))
+        value, witness = brute_force_max_corner_avoiding(m, n)
         assert res.exhaustive
-        assert res.value == brute_force_max_corner_avoiding(m, n)
+        assert res.value == value
+        assert res.witness == PointSet(GridDims(m, n), frozenset(witness))
 
     def test_never_exceeds_max_minps(self):
         for m, n in [(2, 2), (3, 3), (4, 3), (4, 4)]:
@@ -106,12 +102,6 @@ class TestMaxCornerAvoiding:
         res = max_corner_avoiding(GridDims(4, 4))
         assert res.exhaustive and res.value == 4
         assert is_corner_avoiding_minps(res.witness).holds
-
-    def test_corner_subgroup_reduction_changes_nothing(self):
-        for m, n in [(3, 2), (4, 3), (4, 4)]:
-            fast = max_corner_avoiding(GridDims(m, n))
-            plain = max_corner_avoiding(GridDims(m, n), symmetry=False, pruning=False)
-            assert fast.value == plain.value
 
     def test_needs_two_by_two(self):
         with pytest.raises(DomainError):
@@ -139,6 +129,16 @@ class TestMinPercolating:
     def test_r_one_single_point(self):
         res = min_percolating(LatticeDims(3, 2), r=1)
         assert res.value == 1
+
+    def test_block_stops_at_its_first_hit(self):
+        # 100 nodes split over the partitions of each block; the 3-block's
+        # first partition hits, so the partitions after it, which would run
+        # out of their share, are never scanned and the value is exact.
+        runs = [min_percolating(GridDims(2, 4), SearchBudget(max_nodes=100, workers=w))
+                for w in (1, 2)]
+        assert runs[0].value == 3
+        assert runs[0].exhaustive
+        assert len({(r.value, r.witness, r.nodes, r.exhaustive) for r in runs}) == 1
 
     def test_lattice_workers_do_not_change_result(self):
         one = min_percolating(LatticeDims(2, 3), SearchBudget(workers=1))
