@@ -1,7 +1,8 @@
 """Exhaustive answers on small grids.
 
-The search enumerates seed sets as bitmasks in cardinality blocks with
-symmetry reduction and a local pruning rule.  Each block stops at its first
+The search grows seed sets depth-first as bitmasks in cardinality blocks,
+with symmetry reduction, and cuts a branch at its first redundant seed or at
+a row or column that can no longer fill.  Each block stops at its first
 hit, and the answer is certified exact when every block before it was fully
 covered and the deciding block was covered up to that hit.  Thin grids
 follow clean closed formulas; the first genuinely 2D case already springs a

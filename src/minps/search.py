@@ -7,28 +7,37 @@ Targets:
 
 Candidates are enumerated in cardinality blocks: descending with a cutoff
 for the maximization targets (the first block with a hit settles the value),
-ascending for min_percolating.  Within a block, subsets are visited in
-lexicographic order of their cell tuples, reduced to one canonical
-representative per symmetry orbit, and screened by a cheap local test
-before any closure is computed: a set in which some seed has two or more
-seed neighbours re-infects that seed after deleting it, so it can never be
-minimal (and never beats a smaller percolating set).
+ascending for min_percolating.  Within a block, subsets are reached in
+lexicographic order of their cell tuples and reduced to one canonical
+representative per symmetry orbit.
 
-On grids, subsets are dense bitmasks; the percolation test is a
-shift-and-or sweep on those masks, entirely independent of the BFS engine
-in ``percolate`` (the two are cross-checked in the tests).  Both
+On grids, subsets are bitmasks grown depth-first in increasing cell order
+(cell (x-1)*n + (y-1), so column x is n consecutive cells).  Two prunes cut
+a whole subtree; each drops only sets that can never be a hit:
+
+* a seed with two or more seed neighbours is re-infected after its own
+  deletion, so the set is never minimal, nor a smallest percolating set;
+* a row or column without a seed stays empty when it is on the border or
+  next to another empty line, as each of its cells has one neighbour off
+  the line.  Every target percolates, so the first cell is in column 1,
+  each next one at most two columns on, and the last in column m; and the
+  cells still to place must break every empty run of L rows, which takes
+  L//2 of them, or (L+1)//2 at the border.
+
+Full-size sets are tested by a shift-and-or sweep on the masks, independent
+of the BFS engine in ``percolate`` (the tests cross-check the two).  Both
 maximization targets share one deletion test: no single deletion may
 percolate or meet a corner mask, which is empty for max_minps.  On lattices,
-each candidate is closed by the r-neighbour engine in ``percolate``.
+every subset is closed by the r-neighbour engine in ``percolate``.
 
-Grids and lattices share one block loop.  Every block is split into partitions
-by first cell, each with a deterministic share of the node budget.  The
-partitions are scanned in first-cell order and the block stops at the first
-one with a hit, so results and node counts do not depend on the worker
-count.  A result is ``exhaustive`` when no scanned partition ran out of
-budget; partitions after the hit are never scanned and do not count.  The
-time budget is checked on the first node of each partition and every 4096
-nodes after.
+Grids and lattices share one block loop.  Each block is split into
+partitions by first cell (on grids, only the cells of column 1), each with a
+fixed share of the node budget, and scanned in first-cell order up to the
+first hit, so results and node counts do not depend on the worker count.  A
+grid node is a visited set that passes the redundant-seed screen; a lattice
+node is a subset.  A result is ``exhaustive`` when no scanned partition ran
+out of budget.  The time budget is checked on the first node of each
+partition and every 4096 nodes after.
 """
 
 from __future__ import annotations
@@ -77,7 +86,6 @@ class _Tables:
         cells = m * n
         self.cells = cells
         self.full = (1 << cells) - 1
-        self.bit = [1 << i for i in range(cells)]
         # Cell index is (x-1)*n + (y-1); y+1 is bit i+1, x+1 is bit i+n.
         col = (1 << n) - 1
         rep_top = col >> 1          # rows 1..n-1 of one column
@@ -141,17 +149,6 @@ def _closure_mask(t: _Tables, mask: int) -> int:
         mask = grown
 
 
-def _has_redundant_seed(t: _Tables, mask: int) -> bool:
-    # A seed with >= 2 seed neighbours is re-infected after its own deletion.
-    n, full = t.n, t.full
-    up = (mask & t.not_top) << 1
-    down = (mask & t.not_bot) >> 1
-    right = (mask << n) & full
-    left = mask >> n
-    two = (up & down) | (left & right) | ((up | down) & (left | right))
-    return bool(mask & two)
-
-
 def _is_canonical(cand: tuple[int, ...], transforms) -> bool:
     ref = list(cand)
     for perm in transforms:
@@ -161,42 +158,81 @@ def _is_canonical(cand: tuple[int, ...], transforms) -> bool:
 
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Scan one (block, first-cell) partition; returns (hit, nodes, truncated)."""
+    """Scan one (block, first-cell) partition depth-first in increasing cell
+    order; returns (hit, nodes, truncated)."""
     dims, s, first, node_cap, deadline, mode = args
     t = _tables(dims.m, dims.n)
-    full = t.full
-    bit = t.bit
+    m, n, cells, full = t.m, t.n, t.cells, t.full
+    not_top, not_bot = t.not_top, t.not_bot
     transforms = t.corner_transforms if mode == "corner" else t.transforms
     corner = t.corner_mask if mode == "corner" else 0
-    base = bit[first]
+    # The set on the path: its mask, the cells with >= 1 and >= 2 seed
+    # neighbours, and its rows.  Row y is bit y+2 of ``rows``; bits 0 and n+3
+    # are always set, so a border run reads as an interior run one longer and
+    # a run between set bits a < b needs (b-a-1)//2 rows; ``need`` sums them.
+    mask = has1 = has2 = 0
+    rows, need = 1 | 1 << (n + 3), (n + 2) // 2
+    left = s - 1  # cells still to place after the one being visited
+    path: list[int] = []
+    stack = []
+    # Each cell is at most two columns after the one before, and the last is
+    # in column m.
+    it = iter(range(first, first + (m - 1 <= 2 * left)))
     nodes = 0
-    for rest in combinations(range(first + 1, t.cells), s - 1):
-        if nodes >= node_cap:
-            return None, nodes, True
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
-            return None, nodes, True
-        mask = base
-        for i in rest:
-            mask |= bit[i]
-        if _has_redundant_seed(t, mask):
-            continue
-        cand = (first,) + rest
-        if mode == "perc":
-            if _is_canonical(cand, transforms) and _closure_mask(t, mask) == full:
-                return cand, nodes, False
-            continue
-        if _closure_mask(t, mask) != full or not _is_canonical(cand, transforms):
-            continue
-        # One deletion test for both targets: no deletion may percolate or,
-        # for "corner", reach a protected corner cell (the mask is 0 for "minps").
-        for i in cand:
-            cl = _closure_mask(t, mask ^ bit[i])
-            if cl == full or cl & corner:
+    while True:
+        for c in it:
+            b = 1 << c
+            # Bits past the last column may enter nb; they never meet a seed.
+            nb = ((b & not_top) << 1) | ((b & not_bot) >> 1) | (b << n) | (b >> n)
+            cmask = mask | b
+            chas2 = has2 | (has1 & nb)
+            if cmask & chas2:
+                continue
+            if nodes >= node_cap:
+                return None, nodes, True
+            nodes += 1
+            if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
+                return None, nodes, True
+            y2 = c % n + 2
+            if rows >> y2 & 1:
+                crows, cneed = rows, need
+            else:
+                lo = (rows & ((1 << y2) - 1)).bit_length()
+                above = rows >> y2
+                hi = y2 + (above & -above).bit_length() - 1
+                cneed = need - (hi - lo) // 2 + (y2 - lo) // 2 + (hi - y2 - 1) // 2
+                crows = rows | 1 << y2
+            if cneed > left:
+                continue
+            if left:
+                stack.append((mask, has1, has2, rows, need, it))
+                path.append(c)
+                mask, has1, has2, rows, need = cmask, has1 | nb, chas2, crows, cneed
+                left -= 1
+                it = iter(range(max(c + 1, (m - 1 - 2 * left) * n),
+                                min(cells - left, (c // n + 3) * n)))
                 break
+            if _closure_mask(t, cmask) != full:
+                continue
+            cand = (*path, c)
+            if not _is_canonical(cand, transforms):
+                continue
+            if mode == "perc":
+                return cand, nodes, False
+            # One deletion test for both targets: no deletion may percolate or,
+            # for "corner", reach a protected corner cell (the mask is 0 for "minps").
+            for i in cand:
+                cl = _closure_mask(t, cmask ^ (1 << i))
+                if cl == full or cl & corner:
+                    break
+            else:
+                return cand, nodes, False
         else:
-            return cand, nodes, False
-    return None, nodes, False
+            if not stack:
+                return None, nodes, False
+            mask, has1, has2, rows, need, it = stack.pop()
+            path.pop()
+            left += 1
 
 
 def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
@@ -223,8 +259,10 @@ def _run_block(dims, rule, s, node_cap, deadline, pool):
     the first one with a hit.  Partition budgets are fixed shares of
     ``node_cap``, so the outcome is identical for any worker count.  Nodes
     and truncation are summed over the partitions scanned, the hit's included."""
-    scan = _scan_lattice_partition if isinstance(dims, LatticeDims) else _scan_partition
-    parts = dims.cells - s + 1
+    lattice = isinstance(dims, LatticeDims)
+    scan = _scan_lattice_partition if lattice else _scan_partition
+    # A percolating grid set has a seed in column 1, the first n cells.
+    parts = dims.cells - s + 1 if lattice else min(dims.n, dims.cells - s + 1)
     base_cap, extra = divmod(node_cap, parts)
     arglist = [(dims, s, first, base_cap + (first < extra), deadline, rule)
                for first in range(parts)]

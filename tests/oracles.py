@@ -133,9 +133,11 @@ def brute_force_max_corner_avoiding(m, n):
 
 
 def brute_force_min_percolating(m, n):
+    """(size, set) of the smallest percolating set by enumerating subsets with
+    the naive engine, the set being the lexicographically least of that size."""
     cells = [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
     for s in range(1, m * n + 1):
         for chosen in combinations(cells, s):
             if naive_percolates(m, n, chosen):
-                return s
-    return 0
+                return s, chosen
+    return 0, ()

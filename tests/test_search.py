@@ -1,4 +1,9 @@
+import time
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minps import (
     DomainError,
@@ -116,9 +121,13 @@ class TestMinPercolating:
         assert res.value == n
         assert percolates(res.witness)
 
-    @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (5, 3), (1, 6), (6, 1), (2, 5), (3, 5), (4, 4)])
     def test_matches_naive_brute_force(self, m, n):
-        assert min_percolating(GridDims(m, n)).value == brute_force_min_percolating(m, n)
+        res = min_percolating(GridDims(m, n))
+        value, witness = brute_force_min_percolating(m, n)
+        assert res.exhaustive
+        assert res.value == value
+        assert res.witness == PointSet(GridDims(m, n), frozenset(witness))
 
     def test_cube_two(self):
         res = min_percolating(LatticeDims(2, 3))
@@ -178,6 +187,32 @@ class TestMinPercolating:
         assert _tables.cache_info().currsize == 0
 
 
+class TestLargeGrids:
+    @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding])
+    def test_search_memory_is_linear_in_cells(self, search):
+        # one mask per cell would hold cells**2 bits, about 107 MB on 200x200
+        from minps.search import _tables
+
+        _tables.cache_clear()
+        tracemalloc.start()
+        try:
+            res = search(GridDims(200, 200), SearchBudget(max_nodes=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _tables.cache_clear()
+        assert not res.exhaustive
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding, min_percolating])
+    def test_node_budget_bounds_the_work(self, search):
+        start = time.monotonic()
+        res = search(GridDims(40, 40), SearchBudget(max_nodes=20_000))
+        assert not res.exhaustive
+        assert res.nodes <= 20_000 + 1
+        assert time.monotonic() - start < 10
+
+
 class TestMaskEngineAgreement:
     def test_mask_closure_matches_bfs_engine(self):
         # the search module's shift-and-or sweep against the BFS closure,
@@ -202,6 +237,28 @@ class TestMaskEngineAgreement:
                     want |= 1 << ((p.x - 1) * n + (p.y - 1))
                 assert _closure_mask(t, mask) == want
                 assert (_closure_mask(t, mask) == t.full) == (want == t.full)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_empty_lines_stay_empty(self, data):
+        # The grid search prunes on this: a row or column without seeds stays
+        # empty when it is on the border or next to another empty line.
+        from minps.search import _closure_mask, _tables
+
+        m, n = data.draw(st.sampled_from([(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]))
+        t = _tables(m, n)
+        columns = [((1 << n) - 1) << (x * n) for x in range(m)]
+        rows = [sum(1 << (x * n + y) for x in range(m)) for y in range(n)]
+        mask = data.draw(st.integers(0, t.full))
+        for lines in (columns, rows):
+            for i in data.draw(st.sets(st.integers(0, len(lines) - 1))):
+                mask &= ~lines[i]
+        closed = _closure_mask(t, mask)
+        for lines in (columns, rows):
+            empty = [not mask & line for line in lines]
+            for i, line in enumerate(lines):
+                if empty[i] and (i in (0, len(lines) - 1) or empty[i - 1] or empty[i + 1]):
+                    assert not closed & line
 
 
 class TestMonotonicityTable:
