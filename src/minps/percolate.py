@@ -2,14 +2,13 @@
 
 One engine serves both.  A grid is the 2-axis box with axes (size, stride)
 = ((m, n), (n, 1)), and [side]^dim is the box with axes (side, side**k); a
-cell's neighbours are one stride away along each axis.  The closure is a
-counter-based breadth-first search on flat cell indices: a cell enters the
-work queue exactly once, when its count of infected neighbours reaches the
-threshold, so one computation costs O(cells + edges).  The queue is
-processed in layers, which makes ``generations`` (the number of synchronous
-infection rounds until the fixpoint) fall out for free.  Boxes of up to
-100,000 cells keep a cached neighbour table; larger ones compute neighbours
-from the strides.
+cell's neighbours, one stride away along each axis, are computed when it
+leaves the queue, so a closure allocates only its countdown bytes, flags and
+queue.  The closure is a counter-based breadth-first search on flat cell
+indices: a cell enters the queue once, when its count of infected neighbours
+reaches the threshold, so one computation costs O(cells + edges).  The queue
+is processed in layers, which makes ``generations`` (the number of
+synchronous infection rounds until the fixpoint) fall out for free.
 
 On a grid every closure is a disjoint union of filled rectangles at pairwise
 taxicab distance >= 3, and ``closure_rects`` reads them straight off the
@@ -22,10 +21,8 @@ modules work on flat indices through ``cell_index``, ``cell_at`` and
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import DomainError, EngineError, ResourceLimitError
@@ -33,9 +30,6 @@ from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect
 
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "MINPS_CELL_CAP"
-
-# Largest box that gets a cached neighbour table (about 200-300 B per cell).
-_TABLE_MAX_CELLS = 100_000
 
 # translate() table sending a countdown of 0 (infected) to 1 and all else to 0.
 _ONE_AT_ZERO = bytes([1]) + bytes(255)
@@ -117,41 +111,15 @@ def cell_at(dims: GridDims | LatticeDims, i: int) -> Point | tuple[int, ...]:
 # --- the engine ----------------------------------------------------------------
 
 
-def _axes(dims: GridDims | LatticeDims) -> tuple[tuple[int, int], ...]:
-    """(size, stride) per coordinate of the flat layout."""
-    if isinstance(dims, GridDims):
-        return ((dims.m, dims.n), (dims.n, 1))
-    return tuple((dims.side, dims.side ** k) for k in range(dims.dim))
-
-
-class _StrideNeighbours:
-    """``nbrs[i]`` computed from the strides, for boxes too big for a table."""
-
-    def __init__(self, axes: tuple[tuple[int, int], ...]):
-        self.axes = axes
-
-    def __getitem__(self, i: int) -> list[int]:
-        out = []
-        for size, stride in self.axes:
-            c = i // stride % size
-            if c > 0:
-                out.append(i - stride)
-            if c < size - 1:
-                out.append(i + stride)
-        return out
-
-
-@lru_cache(maxsize=32)
-def _neighbour_table(axes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    nbrs = _StrideNeighbours(axes)
-    return tuple(tuple(nbrs[i]) for i in range(math.prod(size for size, _ in axes)))
-
-
-def _close(nbrs, cells: int, r: int, seeds: Iterable[int]) -> tuple[bytearray, int, int]:
+def _close(axes: tuple[tuple[int, int], ...], cells: int, r: int,
+           seeds: Iterable[int]) -> tuple[bytearray, int, int]:
     """Core fixpoint loop on flat cell indices. Returns (flags, count, generations).
 
     ``need[v]`` counts the infected neighbours ``v`` still lacks; it is 0
-    exactly on infected cells.  ``r`` must fit a byte.
+    exactly on infected cells.  ``r`` must fit a byte.  On an axis (size,
+    stride), ``w = u % (size * stride)`` lies in [c * stride, (c + 1) * stride)
+    for ``u``'s coordinate c, so ``u`` has a neighbour ``u - stride`` iff
+    ``w >= stride`` and ``u + stride`` iff ``w < (size - 1) * stride``.
     """
     need = bytearray([r]) * cells
     frontier: list[int] = []
@@ -165,14 +133,27 @@ def _close(nbrs, cells: int, r: int, seeds: Iterable[int]) -> tuple[bytearray, i
     while frontier:
         nxt: list[int] = []
         push = nxt.append
-        for u in frontier:
-            for v in nbrs[u]:
-                c = need[v]
-                if c:
-                    c -= 1
-                    need[v] = c
-                    if not c:
-                        push(v)
+        for size, stride in axes:
+            span = size * stride
+            top = span - stride
+            for u in frontier:
+                w = u % span
+                if w >= stride:
+                    v = u - stride
+                    k = need[v]
+                    if k:
+                        k -= 1
+                        need[v] = k
+                        if not k:
+                            push(v)
+                if w < top:
+                    v = u + stride
+                    k = need[v]
+                    if k:
+                        k -= 1
+                        need[v] = k
+                        if not k:
+                            push(v)
         if nxt:
             generations += 1
             count += len(nxt)
@@ -180,16 +161,17 @@ def _close(nbrs, cells: int, r: int, seeds: Iterable[int]) -> tuple[bytearray, i
     return need.translate(_ONE_AT_ZERO), count, generations
 
 
-def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[object, int, int]:
-    """Check ``dims`` and ``r``, then return the neighbours, cell count and
-    start count that ``_close`` takes."""
+def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """Check ``dims`` and ``r``, then return the (size, stride) axes of the
+    flat layout, the cell count and the start count that ``_close`` takes."""
     check_closure(dims, r)
-    axes = _axes(dims)
-    cells = dims.cells
-    nbrs = _neighbour_table(axes) if cells <= _TABLE_MAX_CELLS else _StrideNeighbours(axes)
+    if isinstance(dims, GridDims):
+        axes = ((dims.m, dims.n), (dims.n, 1))
+    else:
+        axes = tuple((dims.side, dims.side ** k) for k in range(dims.dim))
     # No cell has more than 2 * len(axes) neighbours, so a larger threshold
     # infects nothing new, just as 2 * len(axes) + 1 does.
-    return nbrs, cells, min(r, 2 * len(axes) + 1)
+    return axes, dims.cells, min(r, 2 * len(axes) + 1)
 
 
 def index_closure(
@@ -197,11 +179,11 @@ def index_closure(
 ) -> Callable[[Iterable[int]], tuple[bytearray, int]]:
     """Return ``close(seeds) -> (flags, count)`` over flat cell indices of ``dims``.
 
-    The threshold and the cell cap are checked here, once, before any table
-    is built; ``close`` then runs the engine on each call.
+    The threshold and the cell cap are checked here, once, before anything
+    is allocated; ``close`` then runs the engine on each call.
     """
-    nbrs, cells, start = _engine(dims, r)
-    return lambda seeds: _close(nbrs, cells, start, seeds)[:2]
+    axes, cells, start = _engine(dims, r)
+    return lambda seeds: _close(axes, cells, start, seeds)[:2]
 
 
 # --- grids -------------------------------------------------------------------
@@ -224,11 +206,7 @@ def closure(ps: PointSet) -> Closure:
 
 def percolates(ps: PointSet) -> bool:
     """True iff the closure of ``ps`` is the whole grid."""
-    m, n = ps.dims
-    if len(ps) == m * n:
-        return True
-    _, count = index_closure(ps.dims)(_seed_indices(ps))
-    return count == m * n
+    return index_closure(ps.dims)(_seed_indices(ps))[1] == ps.dims.cells
 
 
 def spans(x: PointSet, y: PointSet) -> bool:

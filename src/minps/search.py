@@ -37,11 +37,13 @@ first hit, so results and node counts do not depend on the worker count.  A
 grid node is a visited set that passes the redundant-seed screen; a lattice
 node is a subset.  A result is ``exhaustive`` when no scanned partition ran
 out of budget.  The time budget is checked on the first node of each
-partition and every 4096 nodes after.
+partition and every 4096 nodes after, and so is a worker pool's stop event,
+set once the search is settled.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -149,12 +151,29 @@ def _closure_mask(t: _Tables, mask: int) -> int:
         mask = grown
 
 
-def _is_canonical(cand: tuple[int, ...], transforms) -> bool:
-    ref = list(cand)
+def _is_canonical(cand: tuple[int, ...], mask: int, transforms) -> bool:
+    # Of two equal-size sets, the one with the least cell of their symmetric
+    # difference comes first in lexicographic order.
     for perm in transforms:
-        if sorted(perm[i] for i in cand) < ref:
+        img = sum([1 << perm[i] for i in cand])
+        diff = img ^ mask
+        if img & diff & -diff:
             return False
     return True
+
+
+_stop = None  # a pool worker's stop event, from ``_init_worker``
+
+
+def _init_worker(stop) -> None:
+    global _stop
+    _stop = stop
+
+
+def _halted(deadline: float | None) -> bool:
+    """True once the time budget is spent or, in a pool, the search is settled."""
+    return ((deadline is not None and time.monotonic() > deadline)
+            or (_stop is not None and _stop.is_set()))
 
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
@@ -191,7 +210,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             if nodes >= node_cap:
                 return None, nodes, True
             nodes += 1
-            if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
+            if nodes % 4096 == 1 and _halted(deadline):
                 return None, nodes, True
             y2 = c % n + 2
             if rows >> y2 & 1:
@@ -215,7 +234,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             if _closure_mask(t, cmask) != full:
                 continue
             cand = (*path, c)
-            if not _is_canonical(cand, transforms):
+            if not _is_canonical(cand, cmask, transforms):
                 continue
             if mode == "perc":
                 return cand, nodes, False
@@ -246,7 +265,7 @@ def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         if nodes >= node_cap:
             return None, nodes, True
         nodes += 1
-        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
+        if nodes % 4096 == 1 and _halted(deadline):
             return None, nodes, True
         cand = (first,) + rest
         if close(cand)[1] == cells:
@@ -294,14 +313,15 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
     check_closure(dims, rule if isinstance(dims, LatticeDims) else 2)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
-    pool = None
+    pool = stop = None
     total_nodes = 0
     truncated = False
     hit: tuple[int, ...] = ()
     value = 0
     try:
         if budget.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=budget.workers)
+            stop = multiprocessing.Event()
+            pool = ProcessPoolExecutor(budget.workers, initializer=_init_worker, initargs=(stop,))
         for s in sizes:
             remaining = budget.max_nodes - total_nodes
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
@@ -315,6 +335,7 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
                 break
     finally:
         if pool is not None:
+            stop.set()  # every result the search uses has been read
             pool.shutdown(cancel_futures=True)
     return SearchResult(
         value=value,

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minps import (
     BoundsError,
@@ -22,6 +24,17 @@ from minps import (
 
 def ps(m, n, pts):
     return PointSet(GridDims(m, n), frozenset(pts))
+
+
+@st.composite
+def point_sets(draw):
+    """A grid set up to 7x7 or a lattice set up to [4]^4, possibly empty."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        return ps(m, n, draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)))))
+    side, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pts = draw(st.sets(st.tuples(*[st.integers(1, side)] * d)))
+    return LatticeSet(LatticeDims(side, d), frozenset(pts))
 
 
 class TestDims:
@@ -184,6 +197,14 @@ class TestPtsFormat:
 
     def test_lattice_round_trip(self):
         a = LatticeSet(LatticeDims(3, 3), frozenset({(1, 2, 3), (3, 3, 3)}))
+        assert parse_points(format_points(a)) == a
+
+    @settings(max_examples=300)
+    @given(point_sets())
+    @example(ps(1, 1, []))
+    @example(ps(1, 1, [(1, 1)]))
+    @example(LatticeSet(LatticeDims(1, 1), frozenset()))
+    def test_round_trip_property(self, a):
         assert parse_points(format_points(a)) == a
 
     def test_lattice_wrong_arity(self):

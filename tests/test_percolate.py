@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minps import (
     DomainError,
@@ -22,7 +25,7 @@ from minps import (
     simple_minps,
     spans,
 )
-from minps.percolate import _close, _engine, _neighbour_table, cell_at, cell_index, index_closure
+from minps.percolate import _close, _engine, cell_at, cell_index, index_closure
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -260,25 +263,27 @@ class TestLattice:
             for r in (r, 300):  # 300 is above any cell's degree and a byte
                 assert set(lattice_closure(ls, r=r).points) == naive_lattice_closure(3, 3, r, pts)
 
-    def test_stride_neighbours_match_naive(self, monkeypatch):
-        # above _TABLE_MAX_CELLS neighbours come from the strides; force that
-        # path on small inputs, for grids and lattices alike
-        monkeypatch.setattr("minps.percolate._TABLE_MAX_CELLS", 0)
-        _neighbour_table.cache_clear()
-        rng = random.Random(31)
-        for _ in range(100):
-            m, n = rng.randint(1, 6), rng.randint(1, 5)
-            a = random_ps(rng, m, n, 0.3)
-            seeds = set(map(tuple, a.points))
-            cl = closure(a)
+    # Neighbours come from the strides; these are the shapes where that
+    # arithmetic could wrap a neighbour onto the next line: grids one or two
+    # cells across, and lattices with side 1 or 2 or with one or two axes.
+    @settings(max_examples=600)
+    @given(data=st.data())
+    def test_stride_neighbours_match_naive(self, data):
+        k = st.integers(1, 12)
+        if data.draw(st.booleans()):
+            m, n = data.draw(st.one_of(st.tuples(st.just(1), k), st.tuples(k, st.just(1)),
+                                       st.tuples(st.just(2), k), st.tuples(k, st.just(2))))
+            seeds = data.draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
+            cl = closure(ps(m, n, seeds))
             assert set(map(tuple, cl.infected.points)) == naive_closure(m, n, seeds)
             assert cl.generations == naive_generations(m, n, seeds)
-        for r in (1, 2, 3):
-            for _ in range(20):
-                pts = {(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(5)}
-                ls = LatticeSet(LatticeDims(3, 3), frozenset(pts))
-                assert set(lattice_closure(ls, r=r).points) == naive_lattice_closure(3, 3, r, pts)
-        assert _neighbour_table.cache_info().currsize == 0
+        else:
+            side, d = data.draw(st.one_of(st.tuples(st.integers(1, 2), st.integers(1, 5)),
+                                          st.tuples(k, st.integers(1, 2))))
+            r = data.draw(st.integers(1, 2 * d + 2))  # one above any cell's degree
+            pts = data.draw(st.sets(st.tuples(*[st.integers(1, side)] * d)))
+            ls = LatticeSet(LatticeDims(side, d), frozenset(pts))
+            assert set(lattice_closure(ls, r=r).points) == naive_lattice_closure(side, d, r, pts)
 
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setenv("MINPS_CELL_CAP", "10")
@@ -314,17 +319,34 @@ class TestFlatIndex:
         from minps import is_corner_avoiding_minps, is_minps
 
         a = simple_minps(4, 4).points
+        # the same points on a grid whose countdown bytes alone take 4 MB
+        big = PointSet(GridDims(2000, 2000), a.points)
         monkeypatch.setenv("MINPS_CELL_CAP", "10")
-        _neighbour_table.cache_clear()
         calls = [
-            lambda: closure(a), lambda: percolates(a.without((1, 1))),
-            lambda: closure_rects(a), lambda: spans(a, a),
-            lambda: internally_spans(a, Rect(Point(1, 1), Point(2, 2))),
-            lambda: is_minps(a), lambda: is_corner_avoiding_minps(a),
+            lambda: closure(big), lambda: percolates(big.without((1, 1))),
+            lambda: closure_rects(big), lambda: spans(big, big),
+            lambda: internally_spans(big, Rect(Point(1, 1), Point(2, 2))),
+            lambda: is_minps(big), lambda: is_corner_avoiding_minps(big),
         ]
-        for call in calls:
-            with pytest.raises(ResourceLimitError):
-                call()
-        assert _neighbour_table.cache_info().currsize == 0
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(ResourceLimitError):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         monkeypatch.setenv("MINPS_CELL_CAP", "16")
         assert percolates(a)
+
+    def test_closure_keeps_no_memory_after_it_returns(self):
+        a = simple_minps(300, 300).points
+        tracemalloc.start()
+        try:
+            assert percolates(a)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert kept < 2**20
