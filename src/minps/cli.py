@@ -93,6 +93,8 @@ def _cmd_search(args) -> int:
         workers=args.workers,
     )
     if args.table:
+        if args.target != "E" or args.d_lattice is not None:
+            raise DomainError("--table supports --target E on grids only")
         if args.dims is None:
             raise DomainError("--table requires --dims")
         _print_table(args.dims[0], args.dims[1], budget)

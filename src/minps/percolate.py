@@ -1,7 +1,8 @@
 """Bootstrap dynamics: 2-neighbour closures on grids, r-neighbour closures on lattices.
 
 One engine serves both.  A grid is the 2-axis box with axes (size, stride)
-= ((m, n), (n, 1)), and [side]^dim is the box with axes (side, side**k); a
+= ((m, n), (n, 1)), and [side]^dim is the box with axes (side, side**k), k
+from dim-1 down to 0, so on both the first coordinate varies slowest; a
 cell's neighbours, one stride away along each axis, are computed when it
 leaves the queue, so a closure allocates only its countdown bytes, flags and
 queue.  The closure is a counter-based breadth-first search on flat cell
@@ -85,13 +86,14 @@ def check_closure(dims: GridDims | LatticeDims, r: int = 2) -> None:
 def cell_index(dims: GridDims | LatticeDims, p: tuple[int, ...]) -> int:
     """Flat index of cell ``p``.
 
-    On an m x n grid it is (x-1)*n + (y-1), so index order is lexicographic
-    point order; on [side]^dim the first coordinate varies fastest.
+    On an m x n grid it is (x-1)*n + (y-1), and on [side]^dim the first
+    coordinate likewise varies slowest, so index order is lexicographic
+    point order.
     """
     if isinstance(dims, GridDims):
         return (p[0] - 1) * dims.n + (p[1] - 1)
     i = 0
-    for c in reversed(p):
+    for c in p:
         i = i * dims.side + (c - 1)
     return i
 
@@ -105,7 +107,7 @@ def cell_at(dims: GridDims | LatticeDims, i: int) -> Point | tuple[int, ...]:
     for _ in range(dims.dim):
         coords.append(i % side + 1)
         i //= side
-    return tuple(coords)
+    return tuple(coords[::-1])
 
 
 # --- the engine ----------------------------------------------------------------
@@ -168,7 +170,7 @@ def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[tuple[tuple[int, int]
     if isinstance(dims, GridDims):
         axes = ((dims.m, dims.n), (dims.n, 1))
     else:
-        axes = tuple((dims.side, dims.side ** k) for k in range(dims.dim))
+        axes = tuple((dims.side, dims.side ** k) for k in reversed(range(dims.dim)))
     # No cell has more than 2 * len(axes) neighbours, so a larger threshold
     # infects nothing new, just as 2 * len(axes) + 1 does.
     return axes, dims.cells, min(r, 2 * len(axes) + 1)
@@ -198,9 +200,7 @@ def closure(ps: PointSet) -> Closure:
     """Least fixpoint containing ``ps`` under the 2-neighbour rule."""
     n = ps.dims.n
     flags, _, generations = _close(*_engine(ps.dims, 2), _seed_indices(ps))
-    pts = frozenset(
-        Point(i // n + 1, i % n + 1) for i, hit in enumerate(flags) if hit
-    )
+    pts = [(i // n + 1, i % n + 1) for i, hit in enumerate(flags) if hit]
     return Closure(ps.dims, PointSet(ps.dims, pts), generations)
 
 
@@ -281,7 +281,7 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
 def lattice_closure(ls: LatticeSet, r: int = 2) -> LatticeSet:
     """Least fixpoint of ``ls`` under the r-neighbour rule on [side]^dim."""
     flags, _ = index_closure(ls.dims, r)([cell_index(ls.dims, p) for p in ls.points])
-    return LatticeSet(ls.dims, frozenset(cell_at(ls.dims, i) for i, hit in enumerate(flags) if hit))
+    return LatticeSet(ls.dims, [cell_at(ls.dims, i) for i, hit in enumerate(flags) if hit])
 
 
 def lattice_percolates(ls: LatticeSet, r: int = 2) -> bool:

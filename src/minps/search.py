@@ -37,15 +37,15 @@ first hit, so results and node counts do not depend on the worker count.  A
 grid node is a visited set that passes the redundant-seed screen; a lattice
 node is a subset.  A result is ``exhaustive`` when no scanned partition ran
 out of budget.  The time budget is checked on the first node of each
-partition and every 4096 nodes after, and so is a worker pool's stop event,
-set once the search is settled.
+partition and every 4096 nodes after.  A search keeps nothing once it
+returns: a worker pool is terminated as soon as the results the search uses
+are read, and the shape's tables are dropped.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -132,7 +132,7 @@ def _symmetry_perms(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(perms))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)  # one shape per search; ``_drive`` clears it on return
 def _tables(m: int, n: int) -> _Tables:
     return _Tables(m, n)
 
@@ -160,20 +160,6 @@ def _is_canonical(cand: tuple[int, ...], mask: int, transforms) -> bool:
         if img & diff & -diff:
             return False
     return True
-
-
-_stop = None  # a pool worker's stop event, from ``_init_worker``
-
-
-def _init_worker(stop) -> None:
-    global _stop
-    _stop = stop
-
-
-def _halted(deadline: float | None) -> bool:
-    """True once the time budget is spent or, in a pool, the search is settled."""
-    return ((deadline is not None and time.monotonic() > deadline)
-            or (_stop is not None and _stop.is_set()))
 
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
@@ -210,7 +196,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             if nodes >= node_cap:
                 return None, nodes, True
             nodes += 1
-            if nodes % 4096 == 1 and _halted(deadline):
+            if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
                 return None, nodes, True
             y2 = c % n + 2
             if rows >> y2 & 1:
@@ -265,7 +251,7 @@ def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         if nodes >= node_cap:
             return None, nodes, True
         nodes += 1
-        if nodes % 4096 == 1 and _halted(deadline):
+        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
             return None, nodes, True
         cand = (first,) + rest
         if close(cand)[1] == cells:
@@ -285,7 +271,7 @@ def _run_block(dims, rule, s, node_cap, deadline, pool):
     base_cap, extra = divmod(node_cap, parts)
     arglist = [(dims, s, first, base_cap + (first < extra), deadline, rule)
                for first in range(parts)]
-    results = pool.map(scan, arglist) if pool is not None and parts > 1 else map(scan, arglist)
+    results = pool.imap(scan, arglist) if pool is not None and parts > 1 else map(scan, arglist)
     nodes = 0
     truncated = False
     for hit, used, trunc in results:
@@ -313,15 +299,12 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
     check_closure(dims, rule if isinstance(dims, LatticeDims) else 2)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
-    pool = stop = None
+    pool = multiprocessing.Pool(budget.workers) if budget.workers > 1 else None
     total_nodes = 0
     truncated = False
     hit: tuple[int, ...] = ()
     value = 0
     try:
-        if budget.workers > 1:
-            stop = multiprocessing.Event()
-            pool = ProcessPoolExecutor(budget.workers, initializer=_init_worker, initargs=(stop,))
         for s in sizes:
             remaining = budget.max_nodes - total_nodes
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
@@ -334,9 +317,10 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
                 hit, value = h, s
                 break
     finally:
+        # Every result the search uses has been read; workers take their tables along.
         if pool is not None:
-            stop.set()  # every result the search uses has been read
-            pool.shutdown(cancel_futures=True)
+            pool.terminate()
+        _tables.cache_clear()
     return SearchResult(
         value=value,
         witness=_witness(dims, hit),

@@ -147,3 +147,13 @@ def test_search_table_flag(capsys):
     assert run(["search", "--target", "E", "--dims", "3", "2", "--table"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("m\\n")
+
+
+@pytest.mark.parametrize("extra", [["--target", "minperc", "--dims", "3", "2"],
+                                   ["--target", "Ec", "--dims", "3", "2"],
+                                   ["--target", "E", "--dims", "3", "2", "--d-lattice", "2", "3"]])
+def test_search_table_flag_needs_grid_max_minps(extra, capsys):
+    # the table holds exact max-MinPS values only
+    assert run(["search", *extra, "--table"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--table" in captured.err

@@ -1,5 +1,6 @@
 """Module boundaries of the package: no ``minps`` module reaches into another
-module's private (underscore) names."""
+module's private (underscore) names, and no function writes module state
+through a ``global`` statement."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,27 @@ def test_detects_private_imports(tmp_path):
         "verify._certify\n"
     )
     assert _private_imports(sample) == ["percolate._close", "minps.search._tables", "verify._certify"]
+
+
+def _global_statements(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names]
+
+
+def test_no_function_writes_module_state():
+    offenders = {p.name: _global_statements(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_global_statements(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "_stop = None\n"
+        "def init(stop):\n"
+        "    global _stop\n"
+        "    _stop = stop\n"
+        "def f():\n"
+        "    def g():\n"
+        "        global a, b\n"
+    )
+    assert _global_statements(sample) == ["_stop", "a", "b"]

@@ -307,9 +307,9 @@ class TestFlatIndex:
         assert [cell_index(dims, c) for c in cells] == list(range(dims.cells))
 
     def test_grid_index_order_is_point_order(self):
-        dims = GridDims(4, 3)
-        cells = [cell_at(dims, i) for i in range(dims.cells)]
-        assert cells == sorted(cells)
+        for dims in [GridDims(4, 3), LatticeDims(3, 3), LatticeDims(2, 4)]:
+            cells = [cell_at(dims, i) for i in range(dims.cells)]
+            assert cells == sorted(cells), dims
 
     def test_grid_rejects_other_thresholds(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 import tracemalloc
 
@@ -26,6 +27,7 @@ from oracles import (
     brute_force_max_corner_avoiding,
     brute_force_max_minps,
     brute_force_min_percolating,
+    naive_certify,
 )
 
 SMALL_GRIDS = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3), (2, 5)]
@@ -135,6 +137,14 @@ class TestMinPercolating:
         assert res.exhaustive
         assert lattice_percolates(res.witness, r=2)
 
+    def test_lattice_witness_is_lexicographically_least(self):
+        square = min_percolating(LatticeDims(4, 2))
+        grid = min_percolating(GridDims(4, 4))
+        assert square.value == grid.value == 4
+        assert square.witness.points == {tuple(p) for p in grid.witness.points}
+        cube = min_percolating(LatticeDims(2, 3))
+        assert cube.witness.points == {(1, 1, 1), (1, 1, 2), (2, 2, 1)}
+
     def test_r_one_single_point(self):
         res = min_percolating(LatticeDims(3, 2), r=1)
         assert res.value == 1
@@ -222,6 +232,39 @@ class TestLargeGrids:
         assert time.monotonic() - start < 10
 
 
+class TestSearchKeepsNoState:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_tables_or_workers_after_return(self, workers):
+        from minps.search import _tables
+
+        res = min_percolating(GridDims(5, 4), SearchBudget(workers=workers))
+        assert res.exhaustive and res.value == 5
+        assert _tables.cache_info().currsize == 0
+        assert multiprocessing.active_children() == []
+
+    def test_no_workers_after_an_error(self, monkeypatch):
+        import minps.search
+
+        def fail(*args):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(minps.search, "_run_block", fail)
+        with pytest.raises(RuntimeError):
+            min_percolating(GridDims(3, 3), SearchBudget(workers=2))
+        assert multiprocessing.active_children() == []
+
+    def test_large_search_keeps_no_memory(self):
+        # the 200x200 tables alone are about 10 MB
+        tracemalloc.start()
+        try:
+            res = max_minps(GridDims(200, 200), SearchBudget(max_nodes=1000))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not res.exhaustive
+        assert kept < 2**20
+
+
 class TestMaskEngineAgreement:
     def test_mask_closure_matches_bfs_engine(self):
         # the search module's shift-and-or sweep against the BFS closure,
@@ -268,6 +311,29 @@ class TestMaskEngineAgreement:
             for i, line in enumerate(lines):
                 if empty[i] and (i in (0, len(lines) - 1) or empty[i - 1] or empty[i + 1]):
                     assert not closed & line
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_three_engines_agree(self, data):
+        # the search's mask sweep, the BFS closure with its rectangles, and
+        # the merge-tree verifiers, on one set, against the naive oracle
+        from minps import closure, closure_rects
+        from minps.search import _closure_mask, _tables
+
+        m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        pts = data.draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
+        s = PointSet(GridDims(m, n), frozenset(pts))
+        infected = closure(s).infected
+        mask = sum(1 << ((x - 1) * n + (y - 1)) for x, y in pts)
+        want = sum(1 << ((p.x - 1) * n + (p.y - 1)) for p in infected.points)
+        assert _closure_mask(_tables(m, n), mask) == want
+        assert {c for r in closure_rects(s).rects for c in r.cells()} == infected.points
+        verdict = is_minps(s)
+        assert (verdict.holds, verdict.witness, verdict.detail) == naive_certify(m, n, pts)
+        if min(m, n) >= 2:
+            verdict = is_corner_avoiding_minps(s)
+            assert ((verdict.holds, verdict.witness, verdict.detail)
+                    == naive_certify(m, n, pts, corner=True))
 
 
 class TestMonotonicityTable:
