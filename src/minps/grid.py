@@ -146,9 +146,6 @@ class PointSet:
     def without(self, p: tuple) -> "PointSet":
         return PointSet(self.dims, self.points - {Point(*p)})
 
-    def sorted_points(self) -> tuple[Point, ...]:
-        return tuple(sorted(self.points))
-
 
 @dataclass(frozen=True)
 class LatticeSet:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .grid import PointSet
-from .percolate import closure, closure_rects
+from .percolate import check_closure, closure, closure_rects
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class RenderOptions:
 
 def render(ps: PointSet, opts: RenderOptions | None = None) -> str:
     opts = opts or RenderOptions()
+    check_closure(ps.dims)  # the drawing is as large as the grid
     m, n = ps.dims
     infected = None
     if opts.show_closure or opts.show_rects:

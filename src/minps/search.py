@@ -12,11 +12,15 @@ lexicographic order of their cell tuples and reduced to one canonical
 representative per symmetry orbit.
 
 On grids, subsets are bitmasks grown depth-first in increasing cell order
-(cell (x-1)*n + (y-1), so column x is n consecutive cells).  Two prunes cut
-a whole subtree; each drops only sets that can never be a hit:
+(cell (x-1)*n + (y-1), so column x is n consecutive cells).  Two cuts drop a
+whole subtree; each drops only sets that can never be a hit:
 
-* a seed with two or more seed neighbours is re-infected after its own
-  deletion, so the set is never minimal, nor a smallest percolating set;
+* closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
+  cl(P - v) meets a protected corner, the same holds for every S containing
+  P: S is not minimal, or not corner-avoiding.  The maximization targets
+  test every seed of each new prefix so, and a full-size set is then a hit
+  as soon as it percolates and is canonical.  ``min_percolating`` makes no
+  such test: a smallest percolating set is minimal anyway;
 * a row or column without a seed stays empty when it is on the border or
   next to another empty line, as each of its cells has one neighbour off
   the line.  Every target percolates, so the first cell is in column 1,
@@ -24,27 +28,26 @@ a whole subtree; each drops only sets that can never be a hit:
   cells still to place must break every empty run of L rows, which takes
   L//2 of them, or (L+1)//2 at the border.
 
-Full-size sets are tested by a shift-and-or sweep on the masks, independent
-of the BFS engine in ``percolate`` (the tests cross-check the two).  Both
-maximization targets share one deletion test: no single deletion may
-percolate or meet a corner mask, which is empty for max_minps.  On lattices,
+Grid closures are a shift-and-or sweep on the masks, independent of the BFS
+engine in ``percolate`` (the tests cross-check the two).  On lattices,
 every subset is closed by the r-neighbour engine in ``percolate``.
 
 Grids and lattices share one block loop.  Each block is split into
 partitions by first cell (on grids, only the cells of column 1), each with a
 fixed share of the node budget, and scanned in first-cell order up to the
 first hit, so results and node counts do not depend on the worker count.  A
-grid node is a visited set that passes the redundant-seed screen; a lattice
-node is a subset.  A result is ``exhaustive`` when no scanned partition ran
-out of budget.  The time budget is checked on the first node of each
-partition and every 4096 nodes after.  A search keeps nothing once it
-returns: a worker pool is terminated as soon as the results the search uses
-are read, and the shape's tables are dropped.
+grid node is a visited set, counted before either cut; a lattice node is a
+subset.  A result is ``exhaustive`` when no scanned partition ran out of
+budget.  The time budget is checked on the first node of each partition and
+every 4096 nodes after.  A search runs at most one worker per CPU and keeps
+nothing once it returns: a worker pool is terminated as soon as the results
+the search uses are read, and the shape's tables are dropped.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,7 +70,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes < 1 or self.workers < 1:
             raise DomainError("budget fields must be positive")
-        if self.max_time is not None and self.max_time <= 0:
+        if self.max_time is not None and not self.max_time > 0:  # NaN too
             raise DomainError("budget fields must be positive")
 
 
@@ -168,14 +171,14 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     dims, s, first, node_cap, deadline, mode = args
     t = _tables(dims.m, dims.n)
     m, n, cells, full = t.m, t.n, t.cells, t.full
-    not_top, not_bot = t.not_top, t.not_bot
     transforms = t.corner_transforms if mode == "corner" else t.transforms
     corner = t.corner_mask if mode == "corner" else 0
-    # The set on the path: its mask, the cells with >= 1 and >= 2 seed
-    # neighbours, and its rows.  Row y is bit y+2 of ``rows``; bits 0 and n+3
-    # are always set, so a border run reads as an interior run one longer and
-    # a run between set bits a < b needs (b-a-1)//2 rows; ``need`` sums them.
-    mask = has1 = has2 = 0
+    cut = mode != "perc"  # test the prefix's seeds (see the module docstring)
+    # The set on the path: its mask and its rows.  Row y is bit y+2 of
+    # ``rows``; bits 0 and n+3 are always set, so a border run reads as an
+    # interior run one longer and a run between set bits a < b needs
+    # (b-a-1)//2 rows; ``need`` sums them.
+    mask = 0
     rows, need = 1 | 1 << (n + 3), (n + 2) // 2
     left = s - 1  # cells still to place after the one being visited
     path: list[int] = []
@@ -186,13 +189,6 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     nodes = 0
     while True:
         for c in it:
-            b = 1 << c
-            # Bits past the last column may enter nb; they never meet a seed.
-            nb = ((b & not_top) << 1) | ((b & not_bot) >> 1) | (b << n) | (b >> n)
-            cmask = mask | b
-            chas2 = has2 | (has1 & nb)
-            if cmask & chas2:
-                continue
             if nodes >= node_cap:
                 return None, nodes, True
             nodes += 1
@@ -209,33 +205,24 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                 crows = rows | 1 << y2
             if cneed > left:
                 continue
+            cmask = mask | 1 << c
+            cand = (*path, c)
+            if cut and any(_closure_mask(t, cmask ^ 1 << i) & (1 << i | corner) for i in cand):
+                continue
             if left:
-                stack.append((mask, has1, has2, rows, need, it))
+                stack.append((mask, rows, need, it))
                 path.append(c)
-                mask, has1, has2, rows, need = cmask, has1 | nb, chas2, crows, cneed
+                mask, rows, need = cmask, crows, cneed
                 left -= 1
                 it = iter(range(max(c + 1, (m - 1 - 2 * left) * n),
                                 min(cells - left, (c // n + 3) * n)))
                 break
-            if _closure_mask(t, cmask) != full:
-                continue
-            cand = (*path, c)
-            if not _is_canonical(cand, cmask, transforms):
-                continue
-            if mode == "perc":
-                return cand, nodes, False
-            # One deletion test for both targets: no deletion may percolate or,
-            # for "corner", reach a protected corner cell (the mask is 0 for "minps").
-            for i in cand:
-                cl = _closure_mask(t, cmask ^ (1 << i))
-                if cl == full or cl & corner:
-                    break
-            else:
+            if _closure_mask(t, cmask) == full and _is_canonical(cand, cmask, transforms):
                 return cand, nodes, False
         else:
             if not stack:
                 return None, nodes, False
-            mask, has1, has2, rows, need, it = stack.pop()
+            mask, rows, need, it = stack.pop()
             path.pop()
             left += 1
 
@@ -299,7 +286,8 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
     check_closure(dims, rule if isinstance(dims, LatticeDims) else 2)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
-    pool = multiprocessing.Pool(budget.workers) if budget.workers > 1 else None
+    workers = min(budget.workers, os.cpu_count() or 1)
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
     total_nodes = 0
     truncated = False
     hit: tuple[int, ...] = ()

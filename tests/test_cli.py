@@ -157,3 +157,17 @@ def test_search_table_flag_needs_grid_max_minps(extra, capsys):
     assert run(["search", *extra, "--table"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--table" in captured.err
+
+
+def test_search_rejects_nan_time(capsys):
+    assert run(["search", "--target", "E", "--dims", "3", "3", "--max-time", "nan"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_render_checks_the_cell_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.pts"
+    path.write_text("dims 20 20\n1 1\n")
+    monkeypatch.setenv("MINPS_CELL_CAP", "100")
+    assert run(["render", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err

@@ -68,3 +68,12 @@ def test_injective_for_fixed_dims():
         if text in seen:
             assert seen[text] == pts
         seen[text] = pts
+
+
+def test_cell_cap_checked_before_drawing(monkeypatch):
+    from minps import ResourceLimitError
+
+    monkeypatch.setenv("MINPS_CELL_CAP", "100")
+    assert render(ps(10, 10, [(1, 1)])).count("\n") == 9
+    with pytest.raises(ResourceLimitError):
+        render(ps(20, 20, [(1, 1)]))

@@ -65,6 +65,13 @@ class TestMaxMinps:
         assert res.nodes <= 500 + 1
         assert res.value <= 5
 
+    @pytest.mark.parametrize("field", [{"max_time": float("nan")}, {"max_time": 0},
+                                       {"max_nodes": 0}, {"workers": 0}])
+    def test_budget_rejects_non_positive_fields(self, field):
+        # a NaN deadline would never fire
+        with pytest.raises(DomainError):
+            SearchBudget(**field)
+
     def test_nodes_and_elapsed_populated(self):
         res = max_minps(GridDims(3, 3))
         assert res.nodes > 0
@@ -253,6 +260,30 @@ class TestSearchKeepsNoState:
             min_percolating(GridDims(3, 3), SearchBudget(workers=2))
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus,pools", [(3, [3]), (None, [])])
+    def test_worker_count_is_capped_by_the_cpus(self, monkeypatch, cpus, pools):
+        import minps.search
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+            def terminate(self):
+                pass
+
+        serial = min_percolating(GridDims(4, 3))
+        monkeypatch.setattr(minps.search.multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(minps.search.os, "cpu_count", lambda: cpus)
+        res = min_percolating(GridDims(4, 3), SearchBudget(workers=100_000))
+        assert sizes == pools
+        assert (res.value, res.witness, res.nodes, res.exhaustive) == (
+            serial.value, serial.witness, serial.nodes, serial.exhaustive)
+
     def test_large_search_keeps_no_memory(self):
         # the 200x200 tables alone are about 10 MB
         tracemalloc.start()
@@ -311,6 +342,39 @@ class TestMaskEngineAgreement:
             for i, line in enumerate(lines):
                 if empty[i] and (i in (0, len(lines) - 1) or empty[i - 1] or empty[i + 1]):
                     assert not closed & line
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_a_redundant_prefix_seed_rules_out_the_set(self, data):
+        # The grid search drops every superset S of a prefix P once a seed v of
+        # P lies in the closure of P - v, or that closure meets a protected
+        # corner: closure is monotone, so S - v does the same.  Half the sets
+        # are minimal percolating sets (cells of the full grid deleted in a
+        # drawn order while it still percolates), so a cut that fires too
+        # often fails here; on P = S the cut must be exact.
+        from minps.search import _closure_mask, _tables
+
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        t = _tables(m, n)
+        if data.draw(st.booleans()):
+            s = t.full
+            for i in data.draw(st.permutations(range(m * n))):
+                if _closure_mask(t, s ^ 1 << i) == t.full:
+                    s ^= 1 << i
+        else:
+            s = data.draw(st.integers(1, t.full))
+        seeds = [i for i in range(m * n) if s >> i & 1]
+        part = data.draw(st.sets(st.sampled_from(seeds), min_size=1))
+        p = sum(1 << i for i in part)
+        v = 1 << data.draw(st.sampled_from(sorted(part)))
+        pts = [(i // n + 1, i % n + 1) for i in seeds]
+        for corner in (0, t.corner_mask) if min(m, n) >= 2 else (0,):
+            holds = naive_certify(m, n, pts, corner=bool(corner))[0]
+            if _closure_mask(t, p ^ v) & (v | corner):
+                assert not holds
+            if _closure_mask(t, s) == t.full:
+                cut = any(_closure_mask(t, s ^ 1 << i) & (1 << i | corner) for i in seeds)
+                assert holds == (not cut)
 
     @settings(max_examples=300)
     @given(data=st.data())
