@@ -1,12 +1,12 @@
 """Exhaustive answers on small grids.
 
-The search grows seed sets depth-first as bitmasks in cardinality blocks,
-with symmetry reduction, and cuts a branch at its first redundant seed or at
-a row or column that can no longer fill.  Each block stops at its first
-hit, and the answer is certified exact when every block before it was fully
-covered and the deciding block was covered up to that hit.  Thin grids
-follow clean closed formulas; the first genuinely 2D case already springs a
-surprise.
+The search grows seed sets depth-first as bitmasks, with symmetry
+reduction, and cuts a branch at its first redundant seed, at a row or column
+that can no longer fill, or once the set percolates.  For the largest
+minimal sets, one pass per first cell serves every size: after each hit it
+looks only for larger sets.  The answer is certified exact when no part of
+the search ran out of budget.  Thin grids follow clean closed formulas;
+the first genuinely 2D case already springs a surprise.
 """
 
 from minps import (

@@ -5,41 +5,51 @@ Targets:
   max_corner_avoiding  largest corner-avoiding MinPS (0 when none exists)
   min_percolating      smallest percolating set, 2D grids or [n]^d lattices
 
-Candidates are enumerated in cardinality blocks: descending with a cutoff
-for the maximization targets (the first block with a hit settles the value),
-ascending for min_percolating.  Within a block, subsets are reached in
-lexicographic order of their cell tuples and reduced to one canonical
-representative per symmetry orbit.
+Candidates are scanned in size ranges [lo, hi], each split into partitions
+by first cell and scanned depth-first in increasing cell order, so the sets
+of one size are reached in lexicographic order of their cell tuples; each is
+reduced to one canonical representative per symmetry orbit.  The
+maximization targets scan the one range [1, m*n], and a partition raises lo
+past each hit, so its first hit at each size is the least one and its last
+hit is its largest.  The value is the largest hit of any partition, and the
+witness the earliest partition's hit of that size.  ``min_percolating``
+scans the ranges (s, s) from s = 1 up to the first with a hit.
 
-On grids, subsets are bitmasks grown depth-first in increasing cell order
-(cell (x-1)*n + (y-1), so column x is n consecutive cells).  Two cuts drop a
-whole subtree; each drops only sets that can never be a hit:
+On grids, subsets are bitmasks (cell (x-1)*n + (y-1), so column x is n
+consecutive cells).  A percolating set ends its branch: no proper superset
+of it is minimal.  Two cuts drop a whole subtree; each drops only sets that
+can never be a hit:
 
 * closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
   cl(P - v) meets a protected corner, the same holds for every S containing
   P: S is not minimal, or not corner-avoiding.  The maximization targets
-  test every seed of each new prefix so, and a full-size set is then a hit
-  as soon as it percolates and is canonical.  ``min_percolating`` makes no
-  such test: a smallest percolating set is minimal anyway;
+  test every seed of each new prefix so, and a percolating set of size at
+  least lo is then a hit as soon as it is canonical.  The path keeps cl(P)
+  and each cl(P - v), and a new cell c closes each from its parent's mask,
+  as cl(A | B) == cl(cl(A) | B).  ``min_percolating`` makes no such test and
+  closes only full-size sets: a smallest percolating set is minimal anyway,
+  and no smaller set percolates once the sizes below were scanned;
 * a row or column without a seed stays empty when it is on the border or
   next to another empty line, as each of its cells has one neighbour off
   the line.  Every target percolates, so the first cell is in column 1,
   each next one at most two columns on, and the last in column m; and the
   cells still to place must break every empty run of L rows, which takes
-  L//2 of them, or (L+1)//2 at the border.
+  L//2 of them, or (L+1)//2 at the border.  A cell is visited only while a
+  size in [lo, hi] leaves room for both.
 
 Grid closures are a shift-and-or sweep on the masks, independent of the BFS
 engine in ``percolate`` (the tests cross-check the two).  On lattices,
 every subset is closed by the r-neighbour engine in ``percolate``.
 
-Grids and lattices share one block loop.  Each block is split into
-partitions by first cell (on grids, only the cells of column 1), each with a
-fixed share of the node budget, and scanned in first-cell order up to the
-first hit, so results and node counts do not depend on the worker count.  A
-grid node is a visited set, counted before either cut; a lattice node is a
-subset.  A result is ``exhaustive`` when no scanned partition ran out of
-budget.  The time budget is checked on the first node of each partition and
-every 4096 nodes after.  A search runs at most one worker per CPU and keeps
+Grids and lattices share one loop over the ranges.  Each partition (on
+grids, only the cells of column 1 start one) gets a fixed share of the node
+budget and the whole size range, never a bound found by another partition,
+so results and node counts do not depend on the worker count; a range stops
+at its first hit of size hi.  A grid node is a visited set, counted once
+before either cut, however many sizes it serves; a lattice node is a subset.
+A result is ``exhaustive`` when no scanned partition ran out of budget.  The
+time budget is checked on every node, as a deep grid node runs one closure
+per seed of its set.  A search runs at most one worker per CPU and keeps
 nothing once it returns: a worker pool is terminated as soon as the results
 the search uses are read, and the shape's tables are dropped.
 """
@@ -166,9 +176,10 @@ def _is_canonical(cand: tuple[int, ...], mask: int, transforms) -> bool:
 
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Scan one (block, first-cell) partition depth-first in increasing cell
-    order; returns (hit, nodes, truncated)."""
-    dims, s, first, node_cap, deadline, mode = args
+    """Scan the sets of one first cell with a size in ``sizes`` = (lo, hi)
+    depth-first in increasing cell order; returns (hit, nodes, truncated), the
+    hit being the first set of the largest size found."""
+    dims, (lo, hi), first, node_cap, deadline, mode = args
     t = _tables(dims.m, dims.n)
     m, n, cells, full = t.m, t.n, t.cells, t.full
     transforms = t.corner_transforms if mode == "corner" else t.transforms
@@ -180,57 +191,91 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     # (b-a-1)//2 rows; ``need`` sums them.
     mask = 0
     rows, need = 1 | 1 << (n + 3), (n + 2) // 2
-    left = s - 1  # cells still to place after the one being visited
+    # With the cut: cl(mask), and cl(mask - i) for each seed i on the path.
+    closed, drops = 0, []
+    k = 1  # the size of the set a visited cell makes
+    # A visited cell c leaves cells - 1 - c cells after it, so the set can still
+    # reach size lo while c <= last = cells - 1 - lo + k.
+    last = cells - lo
     path: list[int] = []
     stack = []
+    hit = None
     # Each cell is at most two columns after the one before, and the last is
     # in column m.
-    it = iter(range(first, first + (m - 1 <= 2 * left)))
+    it = iter(range(first, first + (m - 1 <= 2 * (hi - 1))))
     nodes = 0
     while True:
         for c in it:
+            if c > last:
+                it = iter(())  # so the next pass pops this level
+                break
             if nodes >= node_cap:
-                return None, nodes, True
+                return hit, nodes, True
             nodes += 1
-            if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
-                return None, nodes, True
+            if deadline is not None and time.monotonic() > deadline:
+                return hit, nodes, True
             y2 = c % n + 2
             if rows >> y2 & 1:
                 crows, cneed = rows, need
             else:
-                lo = (rows & ((1 << y2) - 1)).bit_length()
+                below = (rows & ((1 << y2) - 1)).bit_length()
                 above = rows >> y2
-                hi = y2 + (above & -above).bit_length() - 1
-                cneed = need - (hi - lo) // 2 + (y2 - lo) // 2 + (hi - y2 - 1) // 2
+                top = y2 + (above & -above).bit_length() - 1
+                cneed = need - (top - below) // 2 + (y2 - below) // 2 + (top - y2 - 1) // 2
                 crows = rows | 1 << y2
-            if cneed > left:
+            if cneed > hi - k or cneed > cells - 1 - c:
                 continue
             cmask = mask | 1 << c
-            cand = (*path, c)
-            if cut and any(_closure_mask(t, cmask ^ 1 << i) & (1 << i | corner) for i in cand):
+            if cut:
+                # cl(A | B) == cl(cl(A) | B), so each closure grows from its parent's.
+                if closed & (1 << c | corner):
+                    continue
+                cdrops = []
+                for i, d in zip(path, drops):
+                    d = _closure_mask(t, d | 1 << c)
+                    if d & (1 << i | corner):
+                        break
+                    cdrops.append(d)
+                if len(cdrops) < k - 1:
+                    continue
+                cdrops.append(closed)
+                cclosed = _closure_mask(t, closed | 1 << c)
+            else:
+                # One size at a time from the smallest: only a full-size set is closed.
+                cdrops = drops
+                cclosed = _closure_mask(t, cmask) if k == hi else cmask
+            if cclosed == full:
+                # No proper superset of a percolating set is minimal.
+                if k >= lo and _is_canonical((*path, c), cmask, transforms):
+                    hit = (*path, c)
+                    if k == hi:
+                        return hit, nodes, False
+                    lo = k + 1
+                    last = cells - 1 - lo + k
                 continue
-            if left:
-                stack.append((mask, rows, need, it))
+            if k < hi:
+                stack.append((mask, rows, need, closed, drops, it))
                 path.append(c)
-                mask, rows, need = cmask, crows, cneed
-                left -= 1
-                it = iter(range(max(c + 1, (m - 1 - 2 * left) * n),
-                                min(cells - left, (c // n + 3) * n)))
+                mask, rows, need, closed, drops = cmask, crows, cneed, cclosed, cdrops
+                k += 1
+                last += 1
+                it = iter(range(max(c + 1, (m - 1 - 2 * (hi - k)) * n),
+                                min(cells, (c // n + 3) * n)))
                 break
-            if _closure_mask(t, cmask) == full and _is_canonical(cand, cmask, transforms):
-                return cand, nodes, False
         else:
             if not stack:
-                return None, nodes, False
-            mask, rows, need, it = stack.pop()
+                return hit, nodes, False
+            mask, rows, need, closed, drops, it = stack.pop()
             path.pop()
-            left += 1
+            k -= 1
+            last -= 1
 
 
 def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    """The lattice counterpart of ``_scan_partition``: a candidate is a hit
-    when its r-neighbour closure fills the lattice."""
-    dims, s, first, node_cap, deadline, r = args
+    """The lattice counterpart of ``_scan_partition``, one size at a time
+    (lo == hi): a candidate is a hit when its r-neighbour closure fills the
+    lattice."""
+    dims, (_, s), first, node_cap, deadline, r = args
     close = index_closure(dims, r)
     cells = dims.cells
     nodes = 0
@@ -238,7 +283,7 @@ def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         if nodes >= node_cap:
             return None, nodes, True
         nodes += 1
-        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             return None, nodes, True
         cand = (first,) + rest
         if close(cand)[1] == cells:
@@ -246,27 +291,33 @@ def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     return None, nodes, False
 
 
-def _run_block(dims, rule, s, node_cap, deadline, pool):
-    """Scan a cardinality block's partitions in first-cell order and stop at
-    the first one with a hit.  Partition budgets are fixed shares of
-    ``node_cap``, so the outcome is identical for any worker count.  Nodes
-    and truncation are summed over the partitions scanned, the hit's included."""
+def _run_block(dims, rule, sizes, node_cap, deadline, pool):
+    """Scan the partitions of the sizes ``sizes`` = (lo, hi) in first-cell
+    order and return the largest hit, the earliest partition's on a tie; stop
+    at the first hit of size hi.  Partition budgets are fixed shares of
+    ``node_cap`` and every partition gets the whole size range, so the outcome
+    is identical for any worker count.  Nodes and truncation are summed over
+    the partitions scanned."""
+    lo, hi = sizes
     lattice = isinstance(dims, LatticeDims)
     scan = _scan_lattice_partition if lattice else _scan_partition
     # A percolating grid set has a seed in column 1, the first n cells.
-    parts = dims.cells - s + 1 if lattice else min(dims.n, dims.cells - s + 1)
+    parts = dims.cells - lo + 1 if lattice else min(dims.n, dims.cells - lo + 1)
     base_cap, extra = divmod(node_cap, parts)
-    arglist = [(dims, s, first, base_cap + (first < extra), deadline, rule)
+    arglist = [(dims, sizes, first, base_cap + (first < extra), deadline, rule)
                for first in range(parts)]
     results = pool.imap(scan, arglist) if pool is not None and parts > 1 else map(scan, arglist)
+    best = None
     nodes = 0
     truncated = False
     for hit, used, trunc in results:
         nodes += used
         truncated = truncated or trunc
-        if hit is not None:
-            return hit, nodes, truncated
-    return None, nodes, truncated
+        if hit is not None and (best is None or len(hit) > len(best)):
+            best = hit
+            if len(hit) == hi:
+                break
+    return best, nodes, truncated
 
 
 def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | LatticeSet:
@@ -274,15 +325,15 @@ def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | 
     return cls(dims, frozenset(cell_at(dims, i) for i in cand))
 
 
-def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
+def _drive(dims: GridDims | LatticeDims, rule: str | int, ranges,
            budget: SearchBudget) -> SearchResult:
-    """Scan the blocks in ``sizes`` until one has a hit.  ``rule`` is passed to
-    every partition scan: the mode ("minps", "corner" or "perc") on grids, the
-    threshold r on lattices.  The result is ``exhaustive`` when no partition
-    that was scanned ran out of nodes or time: the blocks before the last were
-    then covered in full, and the last up to its first hit, which settles the
-    value and the lexicographically least witness.  The cell cap is checked
-    before any table or partition list is built."""
+    """Scan the size ranges in ``ranges`` until one has a hit.  ``rule`` is
+    passed to every partition scan: the mode ("minps", "corner" or "perc") on
+    grids, the threshold r on lattices.  The result is ``exhaustive`` when no
+    partition that was scanned ran out of nodes or time: the ranges before the
+    last were then covered in full, and the last up to its deciding hit, which
+    settles the value and the lexicographically least witness.  The cell cap
+    is checked before any table or partition list is built."""
     check_closure(dims, rule if isinstance(dims, LatticeDims) else 2)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
@@ -291,18 +342,17 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
     total_nodes = 0
     truncated = False
     hit: tuple[int, ...] = ()
-    value = 0
     try:
-        for s in sizes:
+        for sizes in ranges:
             remaining = budget.max_nodes - total_nodes
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
                 truncated = True
                 break
-            h, nodes, trunc = _run_block(dims, rule, s, remaining, deadline, pool)
+            h, nodes, trunc = _run_block(dims, rule, sizes, remaining, deadline, pool)
             total_nodes += nodes
             truncated = truncated or trunc
             if h is not None:
-                hit, value = h, s
+                hit = h
                 break
     finally:
         # Every result the search uses has been read; workers take their tables along.
@@ -310,7 +360,7 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, sizes,
             pool.terminate()
         _tables.cache_clear()
     return SearchResult(
-        value=value,
+        value=len(hit),
         witness=_witness(dims, hit),
         exhaustive=not truncated,
         nodes=total_nodes,
@@ -322,7 +372,7 @@ def max_minps(dims: GridDims, budget: SearchBudget | None = None) -> SearchResul
     """Exact maximum size of a MinPS, with a lexicographically-least canonical
     witness.  With an exhausted budget the value is a lower bound and
     ``exhaustive`` is False."""
-    return _drive(dims, "minps", range(dims.cells, 0, -1), budget or SearchBudget())
+    return _drive(dims, "minps", [(1, dims.cells)], budget or SearchBudget())
 
 
 def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
@@ -331,7 +381,7 @@ def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> S
     transforms that preserve the pair of protected corners."""
     if dims.m < 2 or dims.n < 2:
         raise DomainError(f"corner-avoiding search needs at least 2x2, got {dims}")
-    return _drive(dims, "corner", range(dims.cells, 0, -1), budget or SearchBudget())
+    return _drive(dims, "corner", [(1, dims.cells)], budget or SearchBudget())
 
 
 def min_percolating(dims: GridDims | LatticeDims, budget: SearchBudget | None = None,
@@ -341,7 +391,8 @@ def min_percolating(dims: GridDims | LatticeDims, budget: SearchBudget | None = 
     if isinstance(dims, GridDims) and r != 2:
         raise DomainError("2D grid search supports the 2-neighbour rule only")
     rule = "perc" if isinstance(dims, GridDims) else r
-    return _drive(dims, rule, range(1, dims.cells + 1), budget or SearchBudget())
+    return _drive(dims, rule, ((s, s) for s in range(1, dims.cells + 1)),
+                  budget or SearchBudget())
 
 
 def monotonicity_table(max_m: int, max_n: int,

@@ -122,6 +122,38 @@ class TestMaxCornerAvoiding:
             max_corner_avoiding(GridDims(1, 5))
 
 
+# Past the brute-force oracles: each value and lexicographically least witness
+# is pinned, and the witness re-certified by the naive oracle.
+PINNED_WITNESSES = [
+    (max_minps, 5, 4, [(1, 1), (1, 2), (1, 4), (2, 4), (4, 1), (5, 1)]),
+    (max_minps, 4, 5, [(1, 1), (1, 2), (1, 4), (1, 5), (3, 1), (4, 1)]),
+    (max_minps, 5, 5, [(1, 1), (1, 2), (1, 4), (2, 4), (4, 1), (4, 5), (5, 1)]),
+    (max_corner_avoiding, 5, 4, [(1, 1), (1, 2), (3, 1), (4, 4), (5, 3)]),
+    (max_corner_avoiding, 4, 5, [(1, 1), (1, 3), (2, 1), (3, 5), (4, 4)]),
+    (max_corner_avoiding, 5, 5, [(1, 1), (1, 2), (3, 1), (3, 5), (4, 5), (5, 4)]),
+]
+
+
+@pytest.mark.parametrize("search,m,n,witness", PINNED_WITNESSES,
+                         ids=[f"{s.__name__}-{m}x{n}" for s, m, n, _ in PINNED_WITNESSES])
+def test_pinned_witness_beyond_the_oracles(search, m, n, witness):
+    res = search(GridDims(m, n))
+    assert res.exhaustive
+    assert res.value == len(witness)
+    assert res.witness == PointSet(GridDims(m, n), frozenset(witness))
+    assert naive_certify(m, n, witness, corner=search is max_corner_avoiding)[0]
+
+
+@pytest.mark.parametrize("search,m,n,max_nodes", [(max_minps, 5, 4, 3000),
+                                                  (max_corner_avoiding, 5, 5, 1000)])
+def test_workers_do_not_change_a_budgeted_outcome(search, m, n, max_nodes):
+    # each partition gets a fixed share of the nodes and the whole size range
+    runs = [search(GridDims(m, n), SearchBudget(max_nodes=max_nodes, workers=w))
+            for w in (1, 2)]
+    assert runs[0].nodes <= max_nodes
+    assert len({(r.value, r.witness, r.nodes, r.exhaustive) for r in runs}) == 1
+
+
 class TestMinPercolating:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_square_grids(self, n):
@@ -230,6 +262,15 @@ class TestLargeGrids:
         assert not res.exhaustive
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding])
+    def test_time_budget_holds_per_node(self, search):
+        # a deep node closes its set once per seed, so the deadline is read on
+        # every node; read every 4096 nodes, 3 s once ran to 7.4 s on 200x200
+        start = time.monotonic()
+        res = search(GridDims(200, 200), SearchBudget(max_time=0.5))
+        assert not res.exhaustive
+        assert time.monotonic() - start < 1.5
+
     @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding, min_percolating])
     def test_node_budget_bounds_the_work(self, search):
         start = time.monotonic()
@@ -320,6 +361,23 @@ class TestMaskEngineAgreement:
                     want |= 1 << ((p.x - 1) * n + (p.y - 1))
                 assert _closure_mask(t, mask) == want
                 assert (_closure_mask(t, mask) == t.full) == (want == t.full)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_closing_a_closure_with_more_cells(self, data):
+        # cl(cl(A) | B) == cl(A | B): the grid search grows each closure on
+        # its path from its parent's instead of from the raw seeds
+        from minps.search import _closure_mask, _tables
+
+        m = data.draw(st.integers(1, 7))
+        n = data.draw(st.sampled_from([1, m, data.draw(st.integers(1, 7))]))
+        m, n = data.draw(st.sampled_from([(m, n), (n, m)]))
+        t = _tables(m, n)
+        # a fifth to a third of the cells: sparse enough not to fill the grid
+        # at once, dense enough that cl(A) mostly grows
+        cells = st.sets(st.integers(0, m * n - 1), min_size=m * n // 5, max_size=m * n // 3 + 1)
+        a, b = (sum(1 << i for i in data.draw(cells)) for _ in range(2))
+        assert _closure_mask(t, _closure_mask(t, a) | b) == _closure_mask(t, a | b)
 
     @settings(max_examples=300)
     @given(data=st.data())
