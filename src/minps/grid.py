@@ -2,7 +2,10 @@
 
 Coordinates are 1-based and (1, 1) is the bottom-left cell of the grid.
 Every container here is immutable and hashable, so values can be shared
-freely between threads and processes.
+freely between threads and processes.  ``PointSet`` and ``LatticeSet`` check
+their points' lengths, coordinate types and bounds in bulk on construction;
+only input that fails a check is rebuilt or tested point by point, to name
+the bad point in a DomainError or BoundsError.
 
 The module also owns the ``.pts`` text format used to exchange point sets:
 
@@ -16,7 +19,10 @@ The module also owns the ``.pts`` text format used to exchange point sets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from functools import partial
+from itertools import chain, product
+from operator import index
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoundsError, DomainError
 
@@ -24,6 +30,9 @@ from .errors import BoundsError, DomainError
 class Point(NamedTuple):
     x: int
     y: int
+
+
+_POINT = partial(tuple.__new__, Point)  # Point(x, y) from (x, y), without a Python call
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,8 @@ class Rect:
         return self.lo.x <= x <= self.hi.x and self.lo.y <= y <= self.hi.y
 
     def cells(self) -> Iterator[Point]:
-        for x in range(self.lo.x, self.hi.x + 1):
-            for y in range(self.lo.y, self.hi.y + 1):
-                yield Point(x, y)
+        xs, ys = range(self.lo.x, self.hi.x + 1), range(self.lo.y, self.hi.y + 1)
+        return map(_POINT, product(xs, ys))
 
     def distance(self, other: "Rect") -> int:
         """Minimum taxicab distance between cells of the two rectangles."""
@@ -119,19 +127,42 @@ class Rect:
         return gap_x + gap_y
 
 
-@dataclass(frozen=True)
+def _indexed(points, d: int, dims: GridDims | LatticeDims) -> list[tuple[int, ...]]:
+    """Each point through ``operator.index``: DomainError names the first bad point."""
+    pts = []
+    for p in points:
+        try:
+            pts.append(tuple(map(index, p)))
+        except TypeError:
+            pts.append(())
+        if len(pts[-1]) != d:
+            raise DomainError(f"point {p!r} must have {d} integer coordinates on {dims}")
+    return pts
+
+
+@dataclass(frozen=True, init=False)
 class PointSet:
     """A finite set of points bound to (and validated against) a grid."""
 
     dims: GridDims
     points: frozenset[Point]
 
-    def __post_init__(self) -> None:
-        pts = frozenset(Point(int(x), int(y)) for (x, y) in self.points)
-        object.__setattr__(self, "points", pts)
-        for p in pts:
-            if p not in self.dims:
-                raise BoundsError(f"point {tuple(p)} outside grid {self.dims}")
+    def __init__(self, dims: GridDims, points: Iterable[tuple[int, int]]) -> None:
+        points = points if isinstance(points, (frozenset, list, tuple)) else tuple(points)
+        try:
+            pts = (points if isinstance(points, frozenset) and set(map(type, points)) == {Point}
+                   else frozenset(map(_POINT, points)))
+            coords = tuple(chain.from_iterable(pts))  # x1, y1, x2, y2, ...
+            # none has more than 2 coordinates and they average 2, so all have 2
+            if pts and not (len(coords) == 2 * len(pts) and max(map(len, pts)) == 2
+                            and set(map(type, coords)) <= {int}):
+                raise TypeError
+        except TypeError:  # check again with every point rebuilt
+            return self.__init__(dims, _indexed(points, 2, dims))
+        if pts and (min(coords) < 1 or max(coords[::2]) > dims.m or max(coords[1::2]) > dims.n):
+            bad = tuple(min(p for p in pts if p not in dims))
+            raise BoundsError(f"point {bad} outside grid {dims}")
+        self.__dict__["dims"], self.__dict__["points"] = dims, pts  # frozen: past __setattr__
 
     def __len__(self) -> int:
         return len(self.points)
@@ -147,19 +178,27 @@ class PointSet:
         return PointSet(self.dims, self.points - {Point(*p)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeSet:
     """A finite set of d-dimensional lattice points bound to a LatticeDims."""
 
     dims: LatticeDims
     points: frozenset[tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        pts = frozenset(tuple(int(c) for c in p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        for p in pts:
-            if p not in self.dims:
-                raise BoundsError(f"point {p} outside lattice {self.dims}")
+    def __init__(self, dims: LatticeDims, points: Iterable[tuple[int, ...]]) -> None:
+        points = points if isinstance(points, (frozenset, list, tuple)) else tuple(points)
+        try:
+            pts = (points if isinstance(points, frozenset) and set(map(type, points)) == {tuple}
+                   else frozenset(map(tuple, points)))
+            coords = tuple(chain.from_iterable(pts))
+            if not (set(map(len, pts)) <= {dims.dim} and set(map(type, coords)) <= {int}):
+                raise TypeError
+        except TypeError:  # check again with every point rebuilt
+            return self.__init__(dims, _indexed(points, dims.dim, dims))
+        if pts and (min(coords) < 1 or max(coords) > dims.side):
+            bad = min(p for p in pts if p not in dims)
+            raise BoundsError(f"point {bad} outside lattice {dims}")
+        self.__dict__["dims"], self.__dict__["points"] = dims, pts  # frozen: past __setattr__
 
     def __len__(self) -> int:
         return len(self.points)
@@ -177,37 +216,32 @@ class LatticeSet:
 def translate(ps: PointSet, k: int, l: int, target: GridDims | None = None) -> PointSet:
     """Shift every point by (k, l); the result lives on ``target`` (default: same dims).
 
-    Raises BoundsError naming the first offending point if the image does not fit.
+    Raises BoundsError naming the least point whose image does not fit.
     """
     dims = target if target is not None else ps.dims
-    moved = []
-    for p in sorted(ps.points):
-        q = Point(p.x + k, p.y + l)
-        if q not in dims:
-            raise BoundsError(
-                f"translate by ({k},{l}) moves {tuple(p)} to {tuple(q)}, outside {dims}"
-            )
-        moved.append(q)
-    return PointSet(dims, frozenset(moved))
+    return _moved(ps, dims, [(x + k, y + l) for x, y in ps.points], f"translate by ({k},{l}) moves")
 
 
 def rotate180(ps: PointSet, target: GridDims | None = None) -> PointSet:
     """Map (x, y) to (m+1-x, n+1-y) on the target grid. An involution."""
     dims = target if target is not None else ps.dims
     m, n = dims
-    rotated = []
-    for p in sorted(ps.points):
-        q = Point(m + 1 - p.x, n + 1 - p.y)
-        if q not in dims:
-            raise BoundsError(f"rotate180 maps {tuple(p)} to {tuple(q)}, outside {dims}")
-        rotated.append(q)
-    return PointSet(dims, frozenset(rotated))
+    return _moved(ps, dims, [(m + 1 - x, n + 1 - y) for x, y in ps.points], "rotate180 maps")
+
+
+def _moved(ps: PointSet, dims: GridDims, image: list[tuple[int, int]], what: str) -> PointSet:
+    """``image`` (``ps.points`` mapped, in iteration order) as a PointSet on ``dims``."""
+    try:
+        return PointSet(dims, image)
+    except BoundsError:
+        p, q = min((p, q) for p, q in zip(ps.points, image) if q not in dims)
+        raise BoundsError(f"{what} {tuple(p)} to {q}, outside {dims}") from None
 
 
 def transpose(ps: PointSet) -> PointSet:
     """Swap x and y; the result lives on the transposed grid."""
     m, n = ps.dims
-    return PointSet(GridDims(n, m), frozenset(Point(p.y, p.x) for p in ps.points))
+    return PointSet(GridDims(n, m), [(y, x) for x, y in ps.points])
 
 
 def set_distance(a: PointSet, b: PointSet) -> int:
@@ -232,7 +266,6 @@ def format_points(ps: PointSet | LatticeSet) -> str:
 
 def parse_points(text: str) -> PointSet | LatticeSet:
     header: tuple | None = None
-    pts: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,12 +290,11 @@ def parse_points(text: str) -> PointSet | LatticeSet:
         if coords in seen:
             raise DomainError(f"line {lineno}: duplicate point {coords}")
         seen.add(coords)
-        pts.append(coords)
     if header is None:
         raise DomainError("missing 'dims' or 'ldims' header line")
     if header[0] == "dims":
-        return PointSet(GridDims(header[1], header[2]), frozenset(Point(*p) for p in pts))
-    return LatticeSet(LatticeDims(header[1], header[2]), frozenset(pts))
+        return PointSet(GridDims(header[1], header[2]), seen)
+    return LatticeSet(LatticeDims(header[1], header[2]), seen)
 
 
 def save_points(path, ps: PointSet | LatticeSet) -> None:

@@ -15,8 +15,12 @@ On a grid every closure is a disjoint union of filled rectangles at pairwise
 taxicab distance >= 3, and ``closure_rects`` reads them straight off the
 closure's flags.
 
-This module alone knows the flat cell layout and the cell cap; other
-modules work on flat indices through ``cell_index``, ``cell_at`` and
+``closure`` and ``lattice_closure`` build their point set once: the product
+of the coordinate ranges is in flat index order, so ``itertools.compress``
+with the flags yields the infected cells, checked in bulk by the point set.
+
+This module alone owns the cell cap; other modules work on flat indices, in
+the layout ``cell_index`` documents, through ``cell_index``, ``cell_at`` and
 ``index_closure``, and check a shape against the cap with ``check_closure``.
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress, product
 from typing import Callable, Iterable
 
 from .errors import DomainError, EngineError, ResourceLimitError
@@ -198,10 +203,9 @@ def _seed_indices(ps: PointSet) -> list[int]:
 
 def closure(ps: PointSet) -> Closure:
     """Least fixpoint containing ``ps`` under the 2-neighbour rule."""
-    n = ps.dims.n
     flags, _, generations = _close(*_engine(ps.dims, 2), _seed_indices(ps))
-    pts = [(i // n + 1, i % n + 1) for i, hit in enumerate(flags) if hit]
-    return Closure(ps.dims, PointSet(ps.dims, pts), generations)
+    cells = compress(product(*(range(1, s + 1) for s in ps.dims)), flags)  # flat index order
+    return Closure(ps.dims, PointSet(ps.dims, cells), generations)
 
 
 def percolates(ps: PointSet) -> bool:
@@ -222,9 +226,10 @@ def internally_spans(x: PointSet, rect: Rect) -> bool:
     dims = x.dims
     if rect.lo not in dims or rect.hi not in dims:
         raise DomainError(f"rectangle [{rect.lo}, {rect.hi}] does not fit in {dims}")
-    inside = [cell_index(dims, p) for p in x.points if p in rect]
+    (x0, y0), (x1, y1) = rect.lo, rect.hi
+    inside = [cell_index(dims, p) for p in x.points if x0 <= p.x <= x1 and y0 <= p.y <= y1]
     flags, _ = index_closure(dims)(inside)
-    return all(flags[cell_index(dims, p)] for p in rect.cells())
+    return all(flags.find(0, c * dims.n + y0 - 1, c * dims.n + y1) < 0 for c in range(x0 - 1, x1))
 
 
 def closure_rects(ps: PointSet) -> RectDecomposition:
@@ -280,8 +285,9 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
 
 def lattice_closure(ls: LatticeSet, r: int = 2) -> LatticeSet:
     """Least fixpoint of ``ls`` under the r-neighbour rule on [side]^dim."""
-    flags, _ = index_closure(ls.dims, r)([cell_index(ls.dims, p) for p in ls.points])
-    return LatticeSet(ls.dims, [cell_at(ls.dims, i) for i, hit in enumerate(flags) if hit])
+    dims = ls.dims
+    flags, _ = index_closure(dims, r)([cell_index(dims, p) for p in ls.points])
+    return LatticeSet(dims, compress(product(range(1, dims.side + 1), repeat=dims.dim), flags))
 
 
 def lattice_percolates(ls: LatticeSet, r: int = 2) -> bool:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .grid import PointSet
-from .percolate import check_closure, closure, closure_rects
+from .percolate import cell_index, check_closure, closure_rects, index_closure
 
 
 @dataclass(frozen=True)
@@ -29,21 +29,16 @@ class RenderOptions:
 def render(ps: PointSet, opts: RenderOptions | None = None) -> str:
     opts = opts or RenderOptions()
     check_closure(ps.dims)  # the drawing is as large as the grid
-    m, n = ps.dims
-    infected = None
-    if opts.show_closure or opts.show_rects:
-        infected = closure(ps).infected
-    lines = []
-    for y in range(n, 0, -1):
-        row = []
-        for x in range(1, m + 1):
-            if (x, y) in ps:
-                row.append(opts.glyph_on)
-            elif opts.show_closure and infected is not None and (x, y) in infected:
-                row.append(opts.glyph_closure)
-            else:
-                row.append(opts.glyph_off)
-        lines.append("".join(row))
+    n = ps.dims.n
+    seeds = [cell_index(ps.dims, p) for p in ps.points]
+    # one code per cell in flat index order: 0 off, 1 closure, 2 seed
+    codes = index_closure(ps.dims)(seeds)[0] if opts.show_closure else bytearray(ps.dims.cells)
+    for i in seeds:
+        codes[i] = 2
+    glyphs = str.maketrans("\0\1\2", opts.glyph_off + opts.glyph_closure + opts.glyph_on)
+    text = codes.decode("latin-1").translate(glyphs)
+    # cell (x, y) has flat index (x-1)*n + (y-1), so row y is the slice [y-1::n]
+    lines = ["\n".join(text[y::n] for y in reversed(range(n)))]
     if opts.show_rects:
         for r in closure_rects(ps).rects:
             lines.append(

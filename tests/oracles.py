@@ -141,3 +141,50 @@ def brute_force_min_percolating(m, n):
             if naive_percolates(m, n, chosen):
                 return s, chosen
     return 0, ()
+
+
+def naive_rects(m, n, seeds):
+    """The closure's 4-connected components as (lo, hi) bounding boxes, in
+    (lo.x, lo.y) order.  On a 2-neighbour closure every component is a
+    filled rectangle, so these are its maximal rectangles."""
+    infected = naive_closure(m, n, seeds)
+    seen, rects = set(), []
+    for start in sorted(infected):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            x, y = stack.pop()
+            comp.append((x, y))
+            for nb in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+                if nb in infected and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        xs, ys = [c[0] for c in comp], [c[1] for c in comp]
+        rects.append(((min(xs), min(ys)), (max(xs), max(ys))))
+    return sorted(rects)
+
+
+def naive_render(m, n, seeds, glyph_on="#", glyph_off=".", glyph_closure="+",
+                 show_closure=False, show_rects=False):
+    """The picture ``minps.render`` draws, built cell by cell: row n first,
+    seeds as ``glyph_on``, the rest of the closure (if shown) as
+    ``glyph_closure``, then one line per closure rectangle (if shown)."""
+    seeds = set(seeds)
+    infected = naive_closure(m, n, seeds) if show_closure else set()
+    lines = []
+    for y in range(n, 0, -1):
+        row = []
+        for x in range(1, m + 1):
+            if (x, y) in seeds:
+                row.append(glyph_on)
+            elif (x, y) in infected:
+                row.append(glyph_closure)
+            else:
+                row.append(glyph_off)
+        lines.append("".join(row))
+    if show_rects:
+        for (x0, y0), (x1, y1) in naive_rects(m, n, seeds):
+            lines.append(f"rect ({x0},{y0})..({x1},{y1}) dim {x1 - x0 + 1}x{y1 - y0 + 1}")
+    return "\n".join(lines)

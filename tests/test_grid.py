@@ -89,6 +89,111 @@ class TestPointSet:
         assert set(s.without((1, 1)).points) == {Point(2, 2)}
 
 
+def old_checked(bounds, pts):
+    """Point-by-point validation, the reference for the bulk checks: ``int``
+    on each coordinate, then a bounds test per point.  None where a point is
+    out of bounds."""
+    out = frozenset(tuple(int(c) for c in p) for p in pts)
+    ok = all(1 <= c <= b for p in out for c, b in zip(p, bounds))
+    return out if ok else None
+
+
+@st.composite
+def int_inputs(draw):
+    """(dims, bounds, points) with int coordinates, some of them out of
+    bounds, given as a list, tuple, set, frozenset or iterator of tuples,
+    lists or Points."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        dims, bounds = GridDims(m, n), (m, n)
+    else:
+        side, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        dims, bounds = LatticeDims(side, d), (side,) * d
+    wide = draw(st.booleans())  # some coordinates out of bounds
+    coords = [st.integers(-1, b + 2) if wide else st.integers(1, b) for b in bounds]
+    pts = draw(st.lists(st.tuples(*coords), max_size=12))
+    shape = draw(st.sampled_from(["tuple", "list", "point"]))
+    if shape == "list":
+        pts = [list(p) for p in pts]
+    elif shape == "point" and len(bounds) == 2:
+        pts = [Point(*p) for p in pts]
+    box = draw(st.sampled_from([list, tuple, set, frozenset, iter]))
+    return dims, bounds, (box(pts) if shape != "list" or box in (list, tuple, iter) else pts)
+
+
+class TestValidation:
+    @settings(max_examples=400)
+    @given(int_inputs())
+    def test_accepts_what_the_per_point_checks_accepted(self, case):
+        dims, bounds, pts = case
+        pts = list(pts)
+        want = old_checked(bounds, pts)
+        cls, elem = (PointSet, Point) if isinstance(dims, GridDims) else (LatticeSet, tuple)
+        if want is None:
+            with pytest.raises(BoundsError):
+                cls(dims, pts)
+            return
+        got = cls(dims, iter(pts)).points
+        assert got == want
+        assert all(type(p) is elem and all(type(c) is int for c in p) for p in got)
+
+    def test_bounds_error_names_the_least_point_outside(self):
+        with pytest.raises(BoundsError, match=r"^point \(0, 2\) outside grid 5x5$"):
+            ps(5, 5, [(7, 1), (1, 1), (3, 9), (0, 2)])
+        with pytest.raises(BoundsError, match=r"^point \(2, 4\) outside grid 3x3$"):
+            ps(3, 3, [(3, 4), (2, 4), (1, 1)])
+        with pytest.raises(BoundsError, match=r"^point \(1, 0, 2\) outside lattice \[3\]\^3$"):
+            LatticeSet(LatticeDims(3, 3), [(4, 1, 1), (1, 1, 1), (1, 0, 2), (2, 2, 5)])
+
+    @pytest.mark.parametrize("pts", [
+        [(1.9, 2)], [(1, 2.0)], [("a", 1)], [(1, "2")], [(1, 2, 3)], [(1,)], [()],
+        [None], [1], [(1, 1), (2, None)], [(1, 1), [1, 2, 3]], ["12"], [(1, 2, 3), (2,)],
+        [(1, 1), (1, 2, 3), ()], [(2, 2), (1,)],
+    ])
+    def test_non_integer_or_wrong_arity_grid_points(self, pts):
+        with pytest.raises(DomainError, match="point"):
+            PointSet(GridDims(3, 3), pts)
+
+    @pytest.mark.parametrize("pts", [[(2.5, 1)], [(1, 1, 1)], [(1,)], [("1", 1)], [(1, 1, 1), (1,)]])
+    def test_non_integer_or_wrong_arity_lattice_points(self, pts):
+        with pytest.raises(DomainError, match="point"):
+            LatticeSet(LatticeDims(3, 2), pts)
+
+    def test_bad_points_are_still_value_errors(self):
+        for pts in ([(1.5, 1)], [(9, 9)]):
+            with pytest.raises(ValueError):
+                ps(3, 3, pts)
+
+    def test_int_likes_become_ints(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        for pts in ([(True, Two())], [Point(True, 2)], frozenset([Point(1, Two())])):
+            got = PointSet(GridDims(3, 3), pts).points
+            assert got == {Point(1, 2)}
+            assert all(type(c) is int for p in got for c in p)
+        got = LatticeSet(LatticeDims(3, 2), [(Two(), True)]).points
+        assert got == {(2, 1)} and all(type(c) is int for p in got for c in p)
+
+    def test_a_valid_set_makes_no_per_point_test(self, monkeypatch):
+        calls = []
+        contains = GridDims.__contains__
+
+        def counted(self, p):
+            calls.append(p)
+            return contains(self, p)
+
+        monkeypatch.setattr(GridDims, "__contains__", counted)
+        cells = [(x, y) for x in range(1, 65) for y in range(1, 65)]
+        assert len(PointSet(GridDims(64, 64), cells)) == 64 * 64
+        assert len(PointSet(GridDims(64, 64), frozenset(map(Point._make, cells[::3])))) > 0
+        assert calls == []
+        with pytest.raises(BoundsError):
+            PointSet(GridDims(64, 64), cells + [(65, 1)])
+        assert calls  # the count does see the per-point scan of a failed bound
+
+
 class TestTranslate:
     def test_ladder_shift(self):
         # the right-hand ladder of the strip construction is the left one + (7, 2)

@@ -73,6 +73,25 @@ class TestClosure:
             assert _close(*engine, idx) == (flags, count, gens)
 
 
+class TestClosureTypes:
+    def test_grid_closure_holds_points_of_ints(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            cl = closure(random_ps(rng, rng.randint(1, 9), rng.randint(1, 9)))
+            assert all(type(p) is Point and type(p.x) is int and type(p.y) is int
+                       for p in cl.infected.points)
+
+    def test_lattice_closure_holds_tuples_of_ints(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            side, d = rng.randint(1, 4), rng.randint(1, 3)
+            pts = {tuple(rng.randint(1, side) for _ in range(d)) for _ in range(rng.randint(0, 6))}
+            cl = lattice_closure(LatticeSet(LatticeDims(side, d), pts))
+            assert all(type(p) is tuple and len(p) == d and all(type(c) is int for c in p)
+                       for p in cl.points)
+            assert cl.points == naive_lattice_closure(side, d, 2, pts)
+
+
 class TestPercolates:
     def test_simple_minps_percolates(self):
         a = simple_minps(6, 6).points
@@ -101,6 +120,23 @@ class TestSpans:
     def test_dims_mismatch(self):
         with pytest.raises(DomainError):
             spans(ps(2, 2, []), ps(3, 3, []))
+
+    def test_internally_spans_matches_naive_closure(self):
+        """Random rectangles, a third of them on the border, against the
+        naive closure of the seeds inside them."""
+        rng = random.Random(41)
+        for _ in range(400):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            a = random_ps(rng, m, n, rng.choice([0.2, 0.4, 0.6]))
+            x0, x1 = sorted(rng.randint(1, m) for _ in range(2))
+            y0, y1 = sorted(rng.randint(1, n) for _ in range(2))
+            if rng.random() < 1 / 3:
+                x0, y1 = 1, n
+            rect = Rect(Point(x0, y0), Point(x1, y1))
+            inside = [(x, y) for x, y in a.points if x0 <= x <= x1 and y0 <= y <= y1]
+            cells = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
+            full = naive_closure(m, n, inside) >= cells
+            assert internally_spans(a, rect) == full, (m, n, sorted(a.points), rect)
 
 
 class TestClosureRects:

@@ -11,6 +11,8 @@ from minps import (
     render,
 )
 
+from oracles import naive_render
+
 
 def ps(m, n, pts):
     return PointSet(GridDims(m, n), frozenset(pts))
@@ -77,3 +79,20 @@ def test_cell_cap_checked_before_drawing(monkeypatch):
     assert render(ps(10, 10, [(1, 1)])).count("\n") == 9
     with pytest.raises(ResourceLimitError):
         render(ps(20, 20, [(1, 1)]))
+
+
+@pytest.mark.parametrize("glyphs", [("#", ".", "+"), ("\u2588", " ", "\u00b7")])
+def test_matches_naive_render(glyphs):
+    """Byte for byte against the cell-by-cell renderer, on every option pair."""
+    on, off, cl = glyphs
+    rng = random.Random(29)
+    for _ in range(150):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice([0.0, 0.1, 0.25, 0.5])
+        seeds = {(x, y) for x in range(1, m + 1) for y in range(1, n + 1) if rng.random() < density}
+        for show_closure in (False, True):
+            for show_rects in (False, True):
+                opts = RenderOptions(glyph_on=on, glyph_off=off, glyph_closure=cl,
+                                     show_closure=show_closure, show_rects=show_rects)
+                want = naive_render(m, n, seeds, on, off, cl, show_closure, show_rects)
+                assert render(ps(m, n, seeds), opts) == want
