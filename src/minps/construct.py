@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, transpose
-from .percolate import percolates
+from .percolate import cell_cap, check_closure, percolates
 from .verify import is_minps
 
 PERCOLATING = "percolating"
@@ -68,9 +68,9 @@ def ladder(k: int, a: int = 1, b: int = 1, dims: GridDims | None = None) -> Poin
     """
     if k < 1:
         raise DomainError(f"ladder needs k >= 1, got {k}")
-    if dims is None:
-        dims = GridDims(a, b + 3 * k - 1)
-    return PointSet(dims, frozenset(_ladder_pairs(k, a, b)))
+    extent = GridDims(a, b + 3 * k - 1)
+    check_closure(extent)  # an explicit ``dims`` holds the ladder, so is no smaller
+    return PointSet(extent if dims is None else dims, frozenset(_ladder_pairs(k, a, b)))
 
 
 def _thin_line(m: int) -> list[int]:
@@ -87,6 +87,7 @@ def simple_minps(m: int, n: int) -> CertifiedSet:
     """The easy L-shaped minimal percolating set of size about 2(m+n)/3."""
     if m < 2 or n < 2:
         raise DomainError(f"simple_minps needs m, n >= 2, got {m}x{n}")
+    check_closure(GridDims(m, n))
     pts = {(x, 1) for x in _thin_line(m)} | {(1, y) for y in _thin_line(n)}
     ps = PointSet(GridDims(m, n), frozenset(pts))
     return CertifiedSet(ps, MINPS, len(ps))
@@ -102,6 +103,7 @@ def corner_avoiding_strip(k: int) -> CertifiedSet:
     if k < 1:
         raise DomainError(f"corner_avoiding_strip needs k >= 1, got {k}")
     n = 3 * k + 2
+    check_closure(GridDims(8, n))
     pts = _ladder_pairs(k, 1, 1)
     pts |= {(2, 3 * k), (4, 1), (5, n), (7, 3)}
     pts |= {(x + 7, y + 2) for (x, y) in _ladder_pairs(k, 1, 1)}
@@ -129,6 +131,7 @@ def glue(b: CertifiedSet, c: CertifiedSet) -> CertifiedSet:
     if np_ < n:
         raise DomainError(f"glue: second input must be at least as tall ({np_} < {n})")
     dims = GridDims(m + mp + 3, np_ + 2)
+    check_closure(dims)
     pts = {(p.x, p.y) for p in b.points.points}
     pts |= {(m + 1, 1), (m + 3, np_ + 2)}
     pts |= {(p.x + m + 3, p.y + 2) for p in c.points.points}
@@ -149,11 +152,12 @@ def chain(x: CertifiedSet, copies: int) -> CertifiedSet:
         raise DomainError(f"chain needs copies >= 1, got {copies}")
     if x.claim != CORNER_AVOIDING:
         raise DomainError("chain: input is not certified corner-avoiding")
+    m, n = x.dims
+    want = GridDims(copies * m + 3 * (copies - 1), n + 2 * (copies - 1))
+    check_closure(want)
     out = x
     for _ in range(copies - 1):
         out = glue(x, out)
-    m, n = x.dims
-    want = GridDims(copies * m + 3 * (copies - 1), n + 2 * (copies - 1))
     if out.dims != want:
         raise EngineError(f"chain dims {out.dims} != {want}")
     return out
@@ -165,11 +169,14 @@ def double(x: CertifiedSet, times: int) -> CertifiedSet:
         raise DomainError(f"double needs times >= 0, got {times}")
     if x.claim != CORNER_AVOIDING:
         raise DomainError("double: input is not certified corner-avoiding")
+    m, n = x.dims
+    # At least 2^times columns: a ``times`` past the cap's bit length is over
+    # the cap anyway, so the shift stops there.
+    want = GridDims((1 << min(times, cell_cap().bit_length())) * (m + 3) - 3, n + 2 * times)
+    check_closure(want)
     out = x
     for _ in range(times):
         out = glue(out, out)
-    m, n = x.dims
-    want = GridDims((1 << times) * (m + 3) - 3, n + 2 * times)
     if out.dims != want:
         raise EngineError(f"double dims {out.dims} != {want}")
     return out
@@ -183,8 +190,9 @@ def strip_chain(copies: int, rungs: int) -> CertifiedSet:
     """
     if copies < 1 or rungs < 1:
         raise DomainError(f"strip_chain needs copies, rungs >= 1, got {copies}, {rungs}")
-    out = chain(corner_avoiding_strip(rungs), copies)
     want = GridDims(11 * copies - 3, 3 * rungs + 2 * copies)
+    check_closure(want)
+    out = chain(corner_avoiding_strip(rungs), copies)
     if out.dims != want:
         raise EngineError(f"strip_chain dims {out.dims} != {want}")
     return out
@@ -212,6 +220,7 @@ def extend(a: CertifiedSet, axis: str = "x") -> CertifiedSet:
         raise EngineError("percolating set has no seed in its last column")
     r = max(rows)
     dims = GridDims(w + 1, h)
+    check_closure(dims)
     base = {(p.x, p.y) for p in a.points.points}
     c = PointSet(dims, frozenset(base - {(w, r)} | {(w + 1, r)}))
     if percolates(c):
@@ -260,6 +269,7 @@ def dense_minps(m: int, n: int) -> CertifiedSet:
     """
     if m < 2 or n < 2:
         raise DomainError(f"dense_minps needs m, n >= 2, got {m}x{n}")
+    check_closure(GridDims(m, n))
     simple = simple_minps(m, n)
     params = dense_minps_params(m, n)
     if params is None:
@@ -294,6 +304,7 @@ def embed_corner_avoiding(a: CertifiedSet) -> CertifiedSet:
         raise DomainError(f"embed_corner_avoiding needs height >= 4, got {n}")
     N = (n + 2) // 3
     big_m, big_n = m + 16, n + 8
+    check_closure(GridDims(big_m, big_n))
     guard = _ladder_pairs(N, 1, 1) | {(2, 3 * N), (4, 1), (5, n + 4), (7, 5)}
     mirrored = {(big_m + 1 - x, big_n + 1 - y) for (x, y) in guard}
     pts = guard | {(p.x + 8, p.y + 4) for p in a.points.points} | mirrored
@@ -313,6 +324,7 @@ def corner_avoiding_square(side: int) -> CertifiedSet:
     if side == 8:
         return corner_avoiding_strip(2)
     if side >= 18:
+        check_closure(GridDims(side, side))
         return embed_corner_avoiding(dense_minps(side - 16, side - 8))
     raise DomainError(f"no corner-avoiding construction on a {side}x{side} square")
 
@@ -340,6 +352,7 @@ def lattice_minps(n: int, d: int) -> CertifiedSet:
         return dense_minps(n, n)
     if d != 3:
         raise DomainError(f"lattice_minps supports d in {{2, 3}}, got {d}")
+    check_closure(LatticeDims(n, 3))
     square = corner_avoiding_square(n)
     pts: set[tuple[int, int, int]] = {(p.x, p.y, 1) for p in square.points.points}
     step = 0

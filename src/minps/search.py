@@ -16,9 +16,11 @@ witness the earliest partition's hit of that size.  ``min_percolating``
 scans the ranges (s, s) from s = 1 up to the first with a hit.
 
 On grids, subsets are bitmasks (cell (x-1)*n + (y-1), so column x is n
-consecutive cells).  A percolating set ends its branch: no proper superset
-of it is minimal.  Two cuts drop a whole subtree; each drops only sets that
-can never be a hit:
+consecutive cells), and each symmetry is a pair of per-axis maps: it sends
+cell x*n + y (0-based) to cols[x] + rows[y], where a flip reverses one
+range and, on a square, a transpose swaps the roles of the two.  A
+percolating set ends its branch: no proper superset of it is minimal.  Two
+cuts drop a whole subtree; each drops only sets that can never be a hit:
 
 * closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
   cl(P - v) meets a protected corner, the same holds for every S containing
@@ -49,9 +51,11 @@ at its first hit of size hi.  A grid node is a visited set, counted once
 before either cut, however many sizes it serves; a lattice node is a subset.
 A result is ``exhaustive`` when no scanned partition ran out of budget.  The
 time budget is checked on every node, as a deep grid node runs one closure
-per seed of its set.  A search runs at most one worker per CPU and keeps
-nothing once it returns: a worker pool is terminated as soon as the results
-the search uses are read, and the shape's tables are dropped.
+per seed of its set.  A grid search builds its shape (the bitboard
+constants, the symmetries and the protected corners) once and hands it to
+every partition scan in the scan's arguments.  A search runs at most one
+worker per CPU and keeps nothing once it returns: a worker pool is
+terminated as soon as the results the search uses are read.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError, EngineError
@@ -93,66 +96,39 @@ class SearchResult:
     elapsed: float
 
 
-class _Tables:
-    """Per-dims bitboard constants and symmetry permutations."""
+class _Shape:
+    """A grid's bitboard constants and the symmetries its target reduces
+    by, built once per search and handed to every partition scan.  A
+    symmetry is a pair of per-axis maps (cols, rows) that sends cell
+    x*n + y (0-based) to cols[x] + rows[y]."""
 
-    def __init__(self, m: int, n: int):
-        self.m, self.n = m, n
-        cells = m * n
-        self.cells = cells
-        self.full = (1 << cells) - 1
+    def __init__(self, m: int, n: int, target: str):
+        self.m, self.n, self.cells = m, n, m * n
+        self.full = (1 << m * n) - 1
         # Cell index is (x-1)*n + (y-1); y+1 is bit i+1, x+1 is bit i+n.
         col = (1 << n) - 1
-        rep_top = col >> 1          # rows 1..n-1 of one column
-        rep_bot = col ^ 1           # rows 2..n of one column
-        self.not_top = sum(rep_top << (x * n) for x in range(m))
-        self.not_bot = sum(rep_bot << (x * n) for x in range(m))
-        self.transforms = _symmetry_perms(m, n)
-        if m >= 2 and n >= 2:
+        self.not_top = sum((col >> 1) << (x * n) for x in range(m))  # rows 1..n-1
+        self.not_bot = sum((col ^ 1) << (x * n) for x in range(m))   # rows 2..n
+        # A flip reverses one axis; a transpose (m == n) swaps the axes' roles.
+        xs = (tuple(range(0, m * n, n)), tuple(range((m - 1) * n, -1, -n)))
+        ys = (tuple(range(n)), tuple(range(n - 1, -1, -1)))
+        maps = {(c, r) for c in xs for r in ys}
+        if m == n:
+            maps |= {(r, c) for c in xs for r in ys}
+        maps.discard((xs[0], ys[0]))  # on a thin grid some flips are the identity
+        self.corner = 0
+        if target == "corner":
             dims = GridDims(m, n)
-            idx = [cell_index(dims, p) for p in corner_cells(dims)]
-            self.corner_mask = sum(1 << i for i in idx)
-            corner_set = frozenset(idx)
-            self.corner_transforms = tuple(
-                perm for perm in self.transforms
-                if frozenset(perm[i] for i in corner_set) == corner_set
-            )
-        else:
-            self.corner_mask = 0
-            self.corner_transforms = ()
+            idx = sorted(cell_index(dims, p) for p in corner_cells(dims))
+            self.corner = sum(1 << i for i in idx)
+            maps = {(c, r) for c, r in maps if sorted(c[i // n] + r[i % n] for i in idx) == idx}
+        self.symmetries = sorted(maps)
+        self.cut = target != "perc"  # test the prefix's seeds (see the module docstring)
 
 
-def _symmetry_perms(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    maps = [
-        lambda x, y: (m + 1 - x, y),
-        lambda x, y: (x, n + 1 - y),
-        lambda x, y: (m + 1 - x, n + 1 - y),
-    ]
-    if m == n:
-        maps += [
-            lambda x, y: (y, x),
-            lambda x, y: (n + 1 - y, n + 1 - x),
-            lambda x, y: (y, n + 1 - x),
-            lambda x, y: (n + 1 - y, x),
-        ]
-    dims = GridDims(m, n)
-    perms = set()
-    identity = tuple(range(m * n))
-    for f in maps:
-        perm = tuple(cell_index(dims, f(*cell_at(dims, i))) for i in range(m * n))
-        if perm != identity:
-            perms.add(perm)
-    return tuple(sorted(perms))
-
-
-@lru_cache(maxsize=1)  # one shape per search; ``_drive`` clears it on return
-def _tables(m: int, n: int) -> _Tables:
-    return _Tables(m, n)
-
-
-def _closure_mask(t: _Tables, mask: int) -> int:
+def _closure_mask(shape: _Shape, mask: int) -> int:
     # The full grid is a fixpoint too, so stop as soon as it is reached.
-    full, n, not_top, not_bot = t.full, t.n, t.not_top, t.not_bot
+    full, n, not_top, not_bot = shape.full, shape.n, shape.not_top, shape.not_bot
     while True:
         up = (mask & not_top) << 1
         down = (mask & not_bot) >> 1
@@ -164,11 +140,12 @@ def _closure_mask(t: _Tables, mask: int) -> int:
         mask = grown
 
 
-def _is_canonical(cand: tuple[int, ...], mask: int, transforms) -> bool:
+def _is_canonical(cand: tuple[int, ...], mask: int, shape: _Shape) -> bool:
     # Of two equal-size sets, the one with the least cell of their symmetric
     # difference comes first in lexicographic order.
-    for perm in transforms:
-        img = sum([1 << perm[i] for i in cand])
+    n = shape.n
+    for cols, rows in shape.symmetries:
+        img = sum([1 << (cols[i // n] + rows[i % n]) for i in cand])
         diff = img ^ mask
         if img & diff & -diff:
             return False
@@ -179,12 +156,9 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     """Scan the sets of one first cell with a size in ``sizes`` = (lo, hi)
     depth-first in increasing cell order; returns (hit, nodes, truncated), the
     hit being the first set of the largest size found."""
-    dims, (lo, hi), first, node_cap, deadline, mode = args
-    t = _tables(dims.m, dims.n)
-    m, n, cells, full = t.m, t.n, t.cells, t.full
-    transforms = t.corner_transforms if mode == "corner" else t.transforms
-    corner = t.corner_mask if mode == "corner" else 0
-    cut = mode != "perc"  # test the prefix's seeds (see the module docstring)
+    _, (lo, hi), first, node_cap, deadline, shape = args
+    m, n, cells, full = shape.m, shape.n, shape.cells, shape.full
+    corner, cut = shape.corner, shape.cut
     # The set on the path: its mask and its rows.  Row y is bit y+2 of
     # ``rows``; bits 0 and n+3 are always set, so a border run reads as an
     # interior run one longer and a run between set bits a < b needs
@@ -232,21 +206,21 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                     continue
                 cdrops = []
                 for i, d in zip(path, drops):
-                    d = _closure_mask(t, d | 1 << c)
+                    d = _closure_mask(shape, d | 1 << c)
                     if d & (1 << i | corner):
                         break
                     cdrops.append(d)
                 if len(cdrops) < k - 1:
                     continue
                 cdrops.append(closed)
-                cclosed = _closure_mask(t, closed | 1 << c)
+                cclosed = _closure_mask(shape, closed | 1 << c)
             else:
                 # One size at a time from the smallest: only a full-size set is closed.
                 cdrops = drops
-                cclosed = _closure_mask(t, cmask) if k == hi else cmask
+                cclosed = _closure_mask(shape, cmask) if k == hi else cmask
             if cclosed == full:
                 # No proper superset of a percolating set is minimal.
-                if k >= lo and _is_canonical((*path, c), cmask, transforms):
+                if k >= lo and _is_canonical((*path, c), cmask, shape):
                     hit = (*path, c)
                     if k == hi:
                         return hit, nodes, False
@@ -328,13 +302,17 @@ def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | 
 def _drive(dims: GridDims | LatticeDims, rule: str | int, ranges,
            budget: SearchBudget) -> SearchResult:
     """Scan the size ranges in ``ranges`` until one has a hit.  ``rule`` is
-    passed to every partition scan: the mode ("minps", "corner" or "perc") on
-    grids, the threshold r on lattices.  The result is ``exhaustive`` when no
-    partition that was scanned ran out of nodes or time: the ranges before the
-    last were then covered in full, and the last up to its deciding hit, which
-    settles the value and the lexicographically least witness.  The cell cap
-    is checked before any table or partition list is built."""
-    check_closure(dims, rule if isinstance(dims, LatticeDims) else 2)
+    the threshold r on lattices, and the target ("minps", "corner" or "perc")
+    on grids; every partition scan gets r, or the grid's shape built for the
+    target.  The result is ``exhaustive`` when no partition that was scanned
+    ran out of nodes or time: the ranges before the last were then covered in
+    full, and the last up to its deciding hit, which settles the value and the
+    lexicographically least witness.  The cell cap is checked before the shape
+    or any partition list is built."""
+    lattice = isinstance(dims, LatticeDims)
+    check_closure(dims, rule if lattice else 2)
+    if not lattice:
+        rule = _Shape(dims.m, dims.n, rule)
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
     workers = min(budget.workers, os.cpu_count() or 1)
@@ -355,10 +333,9 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, ranges,
                 hit = h
                 break
     finally:
-        # Every result the search uses has been read; workers take their tables along.
+        # Every result the search uses has been read.
         if pool is not None:
             pool.terminate()
-        _tables.cache_clear()
     return SearchResult(
         value=len(hit),
         witness=_witness(dims, hit),
@@ -378,7 +355,7 @@ def max_minps(dims: GridDims, budget: SearchBudget | None = None) -> SearchResul
 def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
     """Exact maximum size of a corner-avoiding MinPS; value 0 with an empty
     witness when no such set exists.  Symmetry reduction uses only the
-    transforms that preserve the pair of protected corners."""
+    symmetries that preserve the pair of protected corners."""
     if dims.m < 2 or dims.n < 2:
         raise DomainError(f"corner-avoiding search needs at least 2x2, got {dims}")
     return _drive(dims, "corner", [(1, dims.cells)], budget or SearchBudget())
@@ -402,8 +379,11 @@ def monotonicity_table(max_m: int, max_n: int,
     Asserts that the table is monotone in both coordinates and that every
     entry with min(m, n) >= 2 respects the (m+2)(n+2)/6 upper bound; raises
     EngineError on any violation (1-row and 1-column grids are exempt from
-    the bound and genuinely exceed it).
+    the bound and genuinely exceed it).  Raises DomainError when either
+    limit is below 1.
     """
+    if max_m < 1 or max_n < 1:
+        raise DomainError(f"the table needs max_m, max_n >= 1, got {max_m}, {max_n}")
     table: dict[tuple[int, int], int] = {}
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):

@@ -93,6 +93,28 @@ def naive_corner_cells(m, n):
             for cx, cy in ((1, n - 1), (m - 1, 1)) for dx in (0, 1) for dy in (0, 1)}
 
 
+def naive_symmetries(m, n):
+    """The grid's symmetries other than the identity, as permutations of the
+    cell indices (x-1)*n + (y-1): the flips, and on a square the transposes."""
+    maps = [
+        lambda x, y: (m + 1 - x, y),
+        lambda x, y: (x, n + 1 - y),
+        lambda x, y: (m + 1 - x, n + 1 - y),
+    ]
+    if m == n:
+        maps += [
+            lambda x, y: (y, x),
+            lambda x, y: (n + 1 - y, n + 1 - x),
+            lambda x, y: (y, n + 1 - x),
+            lambda x, y: (n + 1 - y, x),
+        ]
+    cells = [(x, y) for x in range(1, m + 1) for y in range(1, n + 1)]
+    perms = {tuple((fx - 1) * n + fy - 1 for fx, fy in (f(x, y) for x, y in cells))
+             for f in maps}
+    perms.discard(tuple(range(m * n)))
+    return perms
+
+
 def naive_certify(m, n, seeds, corner=False):
     """(holds, witness, detail) for the MinPS property, or with ``corner``
     for the corner-avoiding one: the first deletion in point order that

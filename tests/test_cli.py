@@ -171,3 +171,22 @@ def test_render_checks_the_cell_cap(tmp_path, capsys, monkeypatch):
     assert run(["render", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "cap" in captured.err
+
+
+@pytest.mark.parametrize("params", [["--family", "small", "--params", "k=100"],
+                                    ["--family", "double", "--params", "k=1", "t=6"],
+                                    ["--family", "cavreg", "--params", "m=2", "n=4"]])
+def test_construct_checks_the_cell_cap(tmp_path, capsys, monkeypatch, params):
+    out = tmp_path / "big.pts"
+    monkeypatch.setenv("MINPS_CELL_CAP", "100")
+    assert run(["construct", *params, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["table", "--max-m", "0", "--max-n", "3"],
+                                  ["search", "--target", "E", "--table", "--dims", "-1", "2"]])
+def test_table_rejects_empty_sizes(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_m" in captured.err

@@ -10,6 +10,7 @@ from minps import (
     GridDims,
     Point,
     PointSet,
+    ResourceLimitError,
     chain,
     corner_avoiding_square,
     corner_avoiding_strip,
@@ -324,3 +325,29 @@ class TestSizeBounds:
         assert lower == len(dense_minps(66, 66))
         assert upper == Fraction(68 * 68, 6)
         assert lower <= upper
+
+
+# Each builder checks the cell cap on the grid it would build before it
+# builds anything; 2^(10^9) columns never start.
+CAPPED_BUILDS = {
+    "ladder": lambda: ladder(40),
+    "glue": lambda: glue(corner_avoiding_strip(1), corner_avoiding_strip(1)),
+    "embed_corner_avoiding": lambda: embed_corner_avoiding(simple_minps(2, 4)),
+    "extend": lambda: extend(simple_minps(10, 10)),
+    "simple_minps": lambda: simple_minps(11, 10),
+    "corner_avoiding_strip": lambda: corner_avoiding_strip(5),
+    "chain": lambda: chain(corner_avoiding_strip(1), 3),
+    "double": lambda: double(corner_avoiding_strip(1), 3),
+    "double-huge": lambda: double(corner_avoiding_strip(1), 10**9),
+    "strip_chain": lambda: strip_chain(2, 1),
+    "dense_minps": lambda: dense_minps(11, 10),
+    "corner_avoiding_square": lambda: corner_avoiding_square(18),
+    "lattice_minps": lambda: lattice_minps(8, 3),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED_BUILDS)
+def test_builders_check_the_cell_cap(name, monkeypatch):
+    monkeypatch.setenv("MINPS_CELL_CAP", "100")
+    with pytest.raises(ResourceLimitError):
+        CAPPED_BUILDS[name]()

@@ -1,6 +1,6 @@
 """Module boundaries of the package: no ``minps`` module reaches into another
-module's private (underscore) names, and no function writes module state
-through a ``global`` statement."""
+module's private (underscore) names, no function writes module state through
+a ``global`` statement, and no module keeps a ``functools`` cache."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,43 @@ def test_detects_global_statements(tmp_path):
         "        global a, b\n"
     )
     assert _global_statements(sample) == ["_stop", "a", "b"]
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _module_caches(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    modules = set()  # local names bound to ``functools``
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{a.name}" for a in node.names if a.name in _CACHES]
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr in _CACHES):
+            found.append(f"functools.{node.attr}")
+    return found
+
+
+def test_no_module_keeps_a_cache():
+    offenders = {p.name: _module_caches(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_module_caches(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from functools import lru_cache, partial\n"
+        "import functools\n"
+        "import functools as ft\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def f(): pass\n"
+        "@ft.cache\n"
+        "def g(): pass\n"
+        "partial(f)\n"
+    )
+    assert sorted(_module_caches(sample)) == [
+        "functools.cache", "functools.lru_cache", "functools.lru_cache"]

@@ -28,6 +28,8 @@ from oracles import (
     brute_force_max_minps,
     brute_force_min_percolating,
     naive_certify,
+    naive_corner_cells,
+    naive_symmetries,
 )
 
 SMALL_GRIDS = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3), (2, 5)]
@@ -230,11 +232,14 @@ class TestMinPercolating:
             min_percolating(GridDims(3, 3), r=3)
 
     def test_cell_cap_checked_before_search_tables(self, monkeypatch):
+        import minps.search
         from minps import ResourceLimitError
-        from minps.search import _tables
+
+        def build(*args):
+            raise AssertionError("shape built before the cell cap was checked")
 
         monkeypatch.setenv("MINPS_CELL_CAP", "10")
-        _tables.cache_clear()
+        monkeypatch.setattr(minps.search, "_Shape", build)
         calls = [
             lambda: max_minps(GridDims(4, 4)), lambda: max_corner_avoiding(GridDims(4, 3)),
             lambda: min_percolating(GridDims(4, 4)), lambda: min_percolating(LatticeDims(3, 3)),
@@ -242,34 +247,31 @@ class TestMinPercolating:
         for call in calls:
             with pytest.raises(ResourceLimitError):
                 call()
-        assert _tables.cache_info().currsize == 0
 
 
 class TestLargeGrids:
     @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding])
     def test_search_memory_is_linear_in_cells(self, search):
         # one mask per cell would hold cells**2 bits, about 107 MB on 200x200
-        from minps.search import _tables
-
-        _tables.cache_clear()
         tracemalloc.start()
         try:
             res = search(GridDims(200, 200), SearchBudget(max_nodes=1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            _tables.cache_clear()
         assert not res.exhaustive
         assert peak < 32 * 2**20
 
-    @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding])
+    @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding, min_percolating])
     def test_time_budget_holds_per_node(self, search):
         # a deep node closes its set once per seed, so the deadline is read on
-        # every node; read every 4096 nodes, 3 s once ran to 7.4 s on 200x200
+        # every node; read every 4096 nodes, 3 s once ran to 7.4 s on 200x200.
+        # What a search builds before its first node is paid from the budget
+        # too, so it must not grow with the cells times the symmetries.
         start = time.monotonic()
-        res = search(GridDims(200, 200), SearchBudget(max_time=0.5))
-        assert not res.exhaustive
-        assert time.monotonic() - start < 1.5
+        res = search(GridDims(300, 300), SearchBudget(max_time=0.2))
+        assert not res.exhaustive and res.nodes > 0
+        assert time.monotonic() - start < 0.5
 
     @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding, min_percolating])
     def test_node_budget_bounds_the_work(self, search):
@@ -283,11 +285,8 @@ class TestLargeGrids:
 class TestSearchKeepsNoState:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_tables_or_workers_after_return(self, workers):
-        from minps.search import _tables
-
         res = min_percolating(GridDims(5, 4), SearchBudget(workers=workers))
         assert res.exhaustive and res.value == 5
-        assert _tables.cache_info().currsize == 0
         assert multiprocessing.active_children() == []
 
     def test_no_workers_after_an_error(self, monkeypatch):
@@ -326,15 +325,16 @@ class TestSearchKeepsNoState:
             serial.value, serial.witness, serial.nodes, serial.exhaustive)
 
     def test_large_search_keeps_no_memory(self):
-        # the 200x200 tables alone are about 10 MB
+        # one permutation table per symmetry would hold about 10 MB on
+        # 200x200; the per-axis maps hold 400 ints each
         tracemalloc.start()
         try:
             res = max_minps(GridDims(200, 200), SearchBudget(max_nodes=1000))
-            kept = tracemalloc.get_traced_memory()[0]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert not res.exhaustive
-        assert kept < 2**20
+        assert kept < 2**20 and peak < 2**20
 
 
 class TestMaskEngineAgreement:
@@ -345,11 +345,11 @@ class TestMaskEngineAgreement:
 
         from minps import closure
         from minps.grid import PointSet
-        from minps.search import _closure_mask, _tables
+        from minps.search import _closure_mask, _Shape
 
         rng = random.Random(31)
         for m, n in [(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]:
-            t = _tables(m, n)
+            t = _Shape(m, n, "minps")
             for _ in range(300):
                 mask = rng.getrandbits(m * n)
                 pts = frozenset(
@@ -367,12 +367,12 @@ class TestMaskEngineAgreement:
     def test_closing_a_closure_with_more_cells(self, data):
         # cl(cl(A) | B) == cl(A | B): the grid search grows each closure on
         # its path from its parent's instead of from the raw seeds
-        from minps.search import _closure_mask, _tables
+        from minps.search import _closure_mask, _Shape
 
         m = data.draw(st.integers(1, 7))
         n = data.draw(st.sampled_from([1, m, data.draw(st.integers(1, 7))]))
         m, n = data.draw(st.sampled_from([(m, n), (n, m)]))
-        t = _tables(m, n)
+        t = _Shape(m, n, "minps")
         # a fifth to a third of the cells: sparse enough not to fill the grid
         # at once, dense enough that cl(A) mostly grows
         cells = st.sets(st.integers(0, m * n - 1), min_size=m * n // 5, max_size=m * n // 3 + 1)
@@ -384,10 +384,10 @@ class TestMaskEngineAgreement:
     def test_empty_lines_stay_empty(self, data):
         # The grid search prunes on this: a row or column without seeds stays
         # empty when it is on the border or next to another empty line.
-        from minps.search import _closure_mask, _tables
+        from minps.search import _closure_mask, _Shape
 
         m, n = data.draw(st.sampled_from([(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]))
-        t = _tables(m, n)
+        t = _Shape(m, n, "minps")
         columns = [((1 << n) - 1) << (x * n) for x in range(m)]
         rows = [sum(1 << (x * n + y) for x in range(m)) for y in range(n)]
         mask = data.draw(st.integers(0, t.full))
@@ -410,10 +410,10 @@ class TestMaskEngineAgreement:
         # are minimal percolating sets (cells of the full grid deleted in a
         # drawn order while it still percolates), so a cut that fires too
         # often fails here; on P = S the cut must be exact.
-        from minps.search import _closure_mask, _tables
+        from minps.search import _closure_mask, _Shape
 
         m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        t = _tables(m, n)
+        t = _Shape(m, n, "minps")
         if data.draw(st.booleans()):
             s = t.full
             for i in data.draw(st.permutations(range(m * n))):
@@ -426,7 +426,7 @@ class TestMaskEngineAgreement:
         p = sum(1 << i for i in part)
         v = 1 << data.draw(st.sampled_from(sorted(part)))
         pts = [(i // n + 1, i % n + 1) for i in seeds]
-        for corner in (0, t.corner_mask) if min(m, n) >= 2 else (0,):
+        for corner in (0, _Shape(m, n, "corner").corner) if min(m, n) >= 2 else (0,):
             holds = naive_certify(m, n, pts, corner=bool(corner))[0]
             if _closure_mask(t, p ^ v) & (v | corner):
                 assert not holds
@@ -440,7 +440,7 @@ class TestMaskEngineAgreement:
         # the search's mask sweep, the BFS closure with its rectangles, and
         # the merge-tree verifiers, on one set, against the naive oracle
         from minps import closure, closure_rects
-        from minps.search import _closure_mask, _tables
+        from minps.search import _closure_mask, _Shape
 
         m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
         pts = data.draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
@@ -448,7 +448,7 @@ class TestMaskEngineAgreement:
         infected = closure(s).infected
         mask = sum(1 << ((x - 1) * n + (y - 1)) for x, y in pts)
         want = sum(1 << ((p.x - 1) * n + (p.y - 1)) for p in infected.points)
-        assert _closure_mask(_tables(m, n), mask) == want
+        assert _closure_mask(_Shape(m, n, "minps"), mask) == want
         assert {c for r in closure_rects(s).rects for c in r.cells()} == infected.points
         verdict = is_minps(s)
         assert (verdict.holds, verdict.witness, verdict.detail) == naive_certify(m, n, pts)
@@ -456,6 +456,36 @@ class TestMaskEngineAgreement:
             verdict = is_corner_avoiding_minps(s)
             assert ((verdict.holds, verdict.witness, verdict.detail)
                     == naive_certify(m, n, pts, corner=True))
+
+
+def _permutations(shape):
+    # each per-axis map spelled out as a permutation of the cell indices
+    n = shape.n
+    return {tuple(cols[i // n] + rows[i % n] for i in range(shape.cells))
+            for cols, rows in shape.symmetries}
+
+
+class TestSymmetries:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_per_axis_maps_match_the_naive_permutations(self, m):
+        from minps.search import _Shape
+
+        for n in range(1, 8):
+            shape = _Shape(m, n, "minps")
+            assert _permutations(shape) == naive_symmetries(m, n)
+            assert len(shape.symmetries) == (0 if m == n == 1 else 1 if min(m, n) == 1
+                                             else 7 if m == n else 3)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_corner_subset_fixes_the_corner_cells(self, m):
+        from minps.search import _Shape
+
+        for n in range(2, 8):
+            shape = _Shape(m, n, "corner")
+            corner = {(x - 1) * n + y - 1 for x, y in naive_corner_cells(m, n)}
+            assert shape.corner == sum(1 << i for i in corner)
+            assert _permutations(shape) == {
+                p for p in naive_symmetries(m, n) if {p[i] for i in corner} == corner}
 
 
 class TestMonotonicityTable:
@@ -479,3 +509,8 @@ class TestMonotonicityTable:
             lower, upper = size_bounds(m, n)
             value = max_minps(GridDims(m, n)).value
             assert lower <= value <= upper
+
+    @pytest.mark.parametrize("max_m,max_n", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_empty_sizes(self, max_m, max_n):
+        with pytest.raises(DomainError):
+            monotonicity_table(max_m, max_n)
