@@ -22,7 +22,7 @@ from .construct import (
     strip_chain,
 )
 from .errors import BoundsError, DomainError, ResourceLimitError
-from .grid import GridDims, LatticeDims, LatticeSet, load_points, save_points
+from .grid import GridDims, LatticeDims, load_points, save_points
 from .render import RenderOptions, render
 from .search import SearchBudget, max_corner_avoiding, max_minps, min_percolating, monotonicity_table
 from .verify import is_corner_avoiding_minps, is_minps
@@ -74,12 +74,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     ps = load_points(args.file)
-    if args.property == "minps":
-        verdict = is_minps(ps)
-    elif isinstance(ps, LatticeSet):
-        raise DomainError("lattice files support --property minps only")
-    else:
-        verdict = is_corner_avoiding_minps(ps)
+    # a lattice set raises DomainError in is_corner_avoiding_minps
+    verdict = (is_minps if args.property == "minps" else is_corner_avoiding_minps)(ps)
     witness = "-" if verdict.witness is None else f"({','.join(map(str, verdict.witness))})"
     print(f"property={args.property} holds={str(verdict.holds).lower()} "
           f"detail={verdict.detail} witness={witness}")
@@ -92,6 +88,8 @@ def _cmd_search(args) -> int:
         max_time=args.max_time,
         workers=args.workers,
     )
+    if args.target != "minperc" and args.r != 2:
+        raise DomainError(f"--r applies to --target minperc only, got --r {args.r}")
     if args.table:
         if args.target != "E" or args.d_lattice is not None:
             raise DomainError("--table supports --target E on grids only")
@@ -142,8 +140,6 @@ def _print_table(max_m: int, max_n: int, budget: SearchBudget | None = None) -> 
 
 def _cmd_render(args) -> int:
     ps = load_points(args.file)
-    if isinstance(ps, LatticeSet):
-        raise DomainError("render supports 2D point sets only")
     opts = RenderOptions(
         glyph_on=args.on,
         glyph_off=args.off,

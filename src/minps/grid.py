@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
+from math import prod
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
@@ -35,8 +36,19 @@ class Point(NamedTuple):
 _POINT = partial(tuple.__new__, Point)  # Point(x, y) from (x, y), without a Python call
 
 
+class _Box:
+    """Cell count and membership, read off the axis sizes ``sizes``."""
+
+    @property
+    def cells(self) -> int:
+        return prod(self.sizes)
+
+    def __contains__(self, p: tuple) -> bool:
+        return len(p) == len(self.sizes) and all(1 <= c <= s for c, s in zip(p, self.sizes))
+
+
 @dataclass(frozen=True)
-class GridDims:
+class GridDims(_Box):
     """Width (columns, m) and height (rows, n) of a finite grid."""
 
     m: int
@@ -47,23 +59,21 @@ class GridDims:
             raise DomainError(f"grid dims must be positive, got {self.m}x{self.n}")
 
     @property
-    def cells(self) -> int:
-        return self.m * self.n
+    def sizes(self) -> tuple[int, int]:
+        """The axis sizes, slowest axis first: (m, n)."""
+        return (self.m, self.n)
 
     def __iter__(self) -> Iterator[int]:
         return iter((self.m, self.n))
-
-    def __contains__(self, p: tuple) -> bool:
-        x, y = p
-        return 1 <= x <= self.m and 1 <= y <= self.n
 
     def __str__(self) -> str:
         return f"{self.m}x{self.n}"
 
 
 @dataclass(frozen=True)
-class LatticeDims:
-    """The lattice [side]^dim, i.e. {1..side}^dim with nearest-neighbour edges."""
+class LatticeDims(_Box):
+    """The lattice [side]^dim, i.e. {1..side}^dim with nearest-neighbour edges.
+    Not iterable, unlike GridDims, so ``m, n = dims`` rejects [side]^2 too."""
 
     side: int
     dim: int
@@ -73,14 +83,18 @@ class LatticeDims:
             raise DomainError(f"lattice dims must be positive, got [{self.side}]^{self.dim}")
 
     @property
-    def cells(self) -> int:
-        return self.side ** self.dim
-
-    def __contains__(self, p: tuple) -> bool:
-        return len(p) == self.dim and all(1 <= c <= self.side for c in p)
+    def sizes(self) -> tuple[int, ...]:
+        """The axis sizes, slowest axis first: (side,) * dim."""
+        return (self.side,) * self.dim
 
     def __str__(self) -> str:
         return f"[{self.side}]^{self.dim}"
+
+
+def check_grid(dims: GridDims | LatticeDims, what: str) -> None:
+    """Raise DomainError unless ``dims`` is a 2D grid; ``what`` names the caller."""
+    if not isinstance(dims, GridDims):
+        raise DomainError(f"{what} needs a 2D grid, got {dims}")
 
 
 @dataclass(frozen=True)
@@ -141,63 +155,27 @@ def _indexed(points, d: int, dims: GridDims | LatticeDims) -> list[tuple[int, ..
 
 
 @dataclass(frozen=True, init=False)
-class PointSet:
-    """A finite set of points bound to (and validated against) a grid."""
+class _Points:
+    """A finite set of points bound to (and validated against) its dims.
+    A subclass names its point type ``_point`` and its dims' noun ``_noun``."""
 
-    dims: GridDims
-    points: frozenset[Point]
-
-    def __init__(self, dims: GridDims, points: Iterable[tuple[int, int]]) -> None:
-        points = points if isinstance(points, (frozenset, list, tuple)) else tuple(points)
-        try:
-            pts = (points if isinstance(points, frozenset) and set(map(type, points)) == {Point}
-                   else frozenset(map(_POINT, points)))
-            coords = tuple(chain.from_iterable(pts))  # x1, y1, x2, y2, ...
-            # none has more than 2 coordinates and they average 2, so all have 2
-            if pts and not (len(coords) == 2 * len(pts) and max(map(len, pts)) == 2
-                            and set(map(type, coords)) <= {int}):
-                raise TypeError
-        except TypeError:  # check again with every point rebuilt
-            return self.__init__(dims, _indexed(points, 2, dims))
-        if pts and (min(coords) < 1 or max(coords[::2]) > dims.m or max(coords[1::2]) > dims.n):
-            bad = tuple(min(p for p in pts if p not in dims))
-            raise BoundsError(f"point {bad} outside grid {dims}")
-        self.__dict__["dims"], self.__dict__["points"] = dims, pts  # frozen: past __setattr__
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(sorted(self.points))
-
-    def __contains__(self, p: tuple) -> bool:
-        x, y = p
-        return Point(x, y) in self.points
-
-    def without(self, p: tuple) -> "PointSet":
-        return PointSet(self.dims, self.points - {Point(*p)})
-
-
-@dataclass(frozen=True, init=False)
-class LatticeSet:
-    """A finite set of d-dimensional lattice points bound to a LatticeDims."""
-
-    dims: LatticeDims
+    dims: GridDims | LatticeDims
     points: frozenset[tuple[int, ...]]
 
-    def __init__(self, dims: LatticeDims, points: Iterable[tuple[int, ...]]) -> None:
+    def __init__(self, dims: GridDims | LatticeDims, points: Iterable[tuple[int, ...]]) -> None:
         points = points if isinstance(points, (frozenset, list, tuple)) else tuple(points)
+        point, sizes, d = self._point, dims.sizes, len(dims.sizes)
         try:
-            pts = (points if isinstance(points, frozenset) and set(map(type, points)) == {tuple}
-                   else frozenset(map(tuple, points)))
-            coords = tuple(chain.from_iterable(pts))
-            if not (set(map(len, pts)) <= {dims.dim} and set(map(type, coords)) <= {int}):
+            pts = (points if isinstance(points, frozenset) and set(map(type, points)) == {point}
+                   else frozenset(map(partial(tuple.__new__, point), points)))
+            coords = tuple(chain.from_iterable(pts))  # c1, c2, ..., cd of each point in turn
+            if not (set(map(len, pts)) <= {d} and set(map(type, coords)) <= {int}):
                 raise TypeError
         except TypeError:  # check again with every point rebuilt
-            return self.__init__(dims, _indexed(points, dims.dim, dims))
-        if pts and (min(coords) < 1 or max(coords) > dims.side):
-            bad = min(p for p in pts if p not in dims)
-            raise BoundsError(f"point {bad} outside lattice {dims}")
+            return self.__init__(dims, _indexed(points, d, dims))
+        if pts and (min(coords) < 1 or any(max(coords[k::d]) > s for k, s in enumerate(sizes))):
+            bad = tuple(min(p for p in pts if p not in dims))
+            raise BoundsError(f"point {bad} outside {self._noun} {dims}")
         self.__dict__["dims"], self.__dict__["points"] = dims, pts  # frozen: past __setattr__
 
     def __len__(self) -> int:
@@ -209,8 +187,20 @@ class LatticeSet:
     def __contains__(self, p: tuple) -> bool:
         return tuple(p) in self.points
 
-    def without(self, p: tuple) -> "LatticeSet":
-        return LatticeSet(self.dims, self.points - {tuple(p)})
+    def without(self, p: tuple):
+        return type(self)(self.dims, self.points - {tuple(p)})
+
+
+class PointSet(_Points):
+    """A finite set of points bound to (and validated against) a GridDims."""
+
+    _point, _noun = Point, "grid"
+
+
+class LatticeSet(_Points):
+    """A finite set of d-dimensional lattice points bound to a LatticeDims."""
+
+    _point, _noun = tuple, "lattice"
 
 
 def translate(ps: PointSet, k: int, l: int, target: GridDims | None = None) -> PointSet:
@@ -255,13 +245,11 @@ def set_distance(a: PointSet, b: PointSet) -> int:
 
 
 def format_points(ps: PointSet | LatticeSet) -> str:
-    if isinstance(ps, LatticeSet):
-        lines = [f"ldims {ps.dims.side} {ps.dims.dim}"]
-        lines += [" ".join(str(c) for c in p) for p in sorted(ps.points)]
-    else:
-        lines = [f"dims {ps.dims.m} {ps.dims.n}"]
-        lines += [f"{p.x} {p.y}" for p in sorted(ps.points)]
-    return "\n".join(lines) + "\n"
+    dims = ps.dims
+    head = (f"ldims {dims.side} {dims.dim}" if isinstance(ps, LatticeSet)
+            else f"dims {dims.m} {dims.n}")
+    line = " ".join(["%d"] * len(dims.sizes))
+    return "\n".join([head, *map(line.__mod__, sorted(ps.points))]) + "\n"
 
 
 def parse_points(text: str) -> PointSet | LatticeSet:

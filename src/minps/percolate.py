@@ -1,8 +1,8 @@
 """Bootstrap dynamics: 2-neighbour closures on grids, r-neighbour closures on lattices.
 
-One engine serves both.  A grid is the 2-axis box with axes (size, stride)
-= ((m, n), (n, 1)), and [side]^dim is the box with axes (side, side**k), k
-from dim-1 down to 0, so on both the first coordinate varies slowest; a
+One engine serves both: each is a box of axes, of sizes ``dims.sizes``
+slowest first, (m, n) or (side,) * dim.  An axis's stride is the product of
+the sizes after it, so a grid's (size, stride) axes are ((m, n), (n, 1)); a
 cell's neighbours, one stride away along each axis, are computed when it
 leaves the queue, so a closure allocates only its countdown bytes, flags and
 queue.  The closure is a counter-based breadth-first search on flat cell
@@ -11,28 +11,34 @@ reaches the threshold, so one computation costs O(cells + edges).  The queue
 is processed in layers, which makes ``generations`` (the number of
 synchronous infection rounds until the fixpoint) fall out for free.
 
-On a grid every closure is a disjoint union of filled rectangles at pairwise
-taxicab distance >= 3, and ``closure_rects`` reads them straight off the
-closure's flags.
+``closure``, ``percolates`` and ``spans`` take grid sets and, under the
+same 2-neighbour rule, lattice sets.  On a grid every closure is a disjoint
+union of filled rectangles at pairwise taxicab distance >= 3, and
+``closure_rects`` reads them straight off the closure's flags; it and
+``internally_spans`` take grid sets only.
 
 ``closure`` and ``lattice_closure`` build their point set once: the product
 of the coordinate ranges is in flat index order, so ``itertools.compress``
 with the flags yields the infected cells, checked in bulk by the point set.
 
-This module alone owns the cell cap; other modules work on flat indices, in
-the layout ``cell_index`` documents, through ``cell_index``, ``cell_at`` and
-``index_closure``, and check a shape against the cap with ``check_closure``.
+This module alone owns the flat layout and the cell cap.  The layout reads
+nothing but ``dims.sizes``, so no part of it tells grids from lattices.
+Other modules turn points into flat indices with ``cell_indices``, one pass
+per axis over all the points, read a cell back with ``cell_at``, close with
+``index_closure`` and check a shape against the cap with ``check_closure``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, product, repeat
+from math import prod
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .errors import DomainError, EngineError, ResourceLimitError
-from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect
+from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect, check_grid
 
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "MINPS_CELL_CAP"
@@ -45,8 +51,8 @@ _ONE_AT_ZERO = bytes([1]) + bytes(255)
 class Closure:
     """The eventually-infected set for a seed, plus the round count to reach it."""
 
-    dims: GridDims
-    infected: PointSet
+    dims: GridDims | LatticeDims
+    infected: PointSet | LatticeSet
     generations: int
 
 
@@ -88,31 +94,32 @@ def check_closure(dims: GridDims | LatticeDims, r: int = 2) -> None:
 # --- flat cell indices -------------------------------------------------------
 
 
+def cell_indices(dims: GridDims | LatticeDims, points: Iterable[tuple[int, ...]]) -> list[int]:
+    """Flat index of each of ``points``, in order: (x-1)*n + (y-1) on an m x n
+    grid, and on any box the first coordinate likewise varies slowest, so
+    index order is lexicographic point order.  Horner's rule runs over the
+    coordinate columns: the loop is per axis, not per point."""
+    columns = zip(*points)
+    idx = next(columns, ())
+    ones = 1  # Horner's rule on (1, ..., 1), subtracted once at the end
+    for size, column in zip(dims.sizes[1:], columns):
+        idx = map(add, map(mul, idx, repeat(size)), column)
+        ones = ones * size + 1
+    return list(map(sub, idx, repeat(ones)))
+
+
 def cell_index(dims: GridDims | LatticeDims, p: tuple[int, ...]) -> int:
-    """Flat index of cell ``p``.
-
-    On an m x n grid it is (x-1)*n + (y-1), and on [side]^dim the first
-    coordinate likewise varies slowest, so index order is lexicographic
-    point order.
-    """
-    if isinstance(dims, GridDims):
-        return (p[0] - 1) * dims.n + (p[1] - 1)
-    i = 0
-    for c in p:
-        i = i * dims.side + (c - 1)
-    return i
+    """Flat index of cell ``p``, in the layout ``cell_indices`` documents."""
+    return cell_indices(dims, (p,))[0]
 
 
-def cell_at(dims: GridDims | LatticeDims, i: int) -> Point | tuple[int, ...]:
+def cell_at(dims: GridDims | LatticeDims, i: int) -> tuple[int, ...]:
     """The cell with flat index ``i``: the inverse of ``cell_index``."""
-    if isinstance(dims, GridDims):
-        return Point(i // dims.n + 1, i % dims.n + 1)
-    side = dims.side
     coords = []
-    for _ in range(dims.dim):
-        coords.append(i % side + 1)
-        i //= side
-    return tuple(coords[::-1])
+    for size in reversed(dims.sizes):
+        i, c = divmod(i, size)
+        coords.append(c + 1)
+    return tuple(reversed(coords))
 
 
 # --- the engine ----------------------------------------------------------------
@@ -172,10 +179,8 @@ def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[tuple[tuple[int, int]
     """Check ``dims`` and ``r``, then return the (size, stride) axes of the
     flat layout, the cell count and the start count that ``_close`` takes."""
     check_closure(dims, r)
-    if isinstance(dims, GridDims):
-        axes = ((dims.m, dims.n), (dims.n, 1))
-    else:
-        axes = tuple((dims.side, dims.side ** k) for k in reversed(range(dims.dim)))
+    sizes = dims.sizes
+    axes = tuple((size, prod(sizes[k + 1:])) for k, size in enumerate(sizes))
     # No cell has more than 2 * len(axes) neighbours, so a larger threshold
     # infects nothing new, just as 2 * len(axes) + 1 does.
     return axes, dims.cells, min(r, 2 * len(axes) + 1)
@@ -193,42 +198,44 @@ def index_closure(
     return lambda seeds: _close(axes, cells, start, seeds)[:2]
 
 
-# --- grids -------------------------------------------------------------------
+# --- point sets ----------------------------------------------------------------
 
 
-def _seed_indices(ps: PointSet) -> list[int]:
-    n = ps.dims.n
-    return [(p.x - 1) * n + (p.y - 1) for p in ps.points]
+def _closed(s: PointSet | LatticeSet, r: int) -> tuple[PointSet | LatticeSet, int]:
+    """The closure of ``s`` under the r-neighbour rule, as a set of its own
+    class, and its generations."""
+    flags, _, generations = _close(*_engine(s.dims, r), cell_indices(s.dims, s.points))
+    cells = compress(product(*(range(1, k + 1) for k in s.dims.sizes)), flags)  # flat index order
+    return type(s)(s.dims, cells), generations
 
 
-def closure(ps: PointSet) -> Closure:
+def closure(ps: PointSet | LatticeSet) -> Closure:
     """Least fixpoint containing ``ps`` under the 2-neighbour rule."""
-    flags, _, generations = _close(*_engine(ps.dims, 2), _seed_indices(ps))
-    cells = compress(product(*(range(1, s + 1) for s in ps.dims)), flags)  # flat index order
-    return Closure(ps.dims, PointSet(ps.dims, cells), generations)
+    return Closure(ps.dims, *_closed(ps, 2))
 
 
-def percolates(ps: PointSet) -> bool:
-    """True iff the closure of ``ps`` is the whole grid."""
-    return index_closure(ps.dims)(_seed_indices(ps))[1] == ps.dims.cells
+def percolates(ps: PointSet | LatticeSet) -> bool:
+    """True iff the closure of ``ps`` under the 2-neighbour rule is the whole grid or lattice."""
+    return lattice_percolates(ps)
 
 
-def spans(x: PointSet, y: PointSet) -> bool:
+def spans(x: PointSet | LatticeSet, y: PointSet | LatticeSet) -> bool:
     """True iff every point of ``y`` is eventually infected starting from ``x``."""
     if x.dims != y.dims:
         raise DomainError(f"spans needs matching dims, got {x.dims} and {y.dims}")
-    flags, _ = index_closure(x.dims)(_seed_indices(x))
-    return all(flags[cell_index(x.dims, p)] for p in y.points)
+    flags, _ = index_closure(x.dims)(cell_indices(x.dims, x.points))
+    return all(map(flags.__getitem__, cell_indices(x.dims, y.points)))
 
 
 def internally_spans(x: PointSet, rect: Rect) -> bool:
     """True iff the part of ``x`` inside ``rect`` already spans all of ``rect``."""
     dims = x.dims
+    check_grid(dims, "internally_spans")
     if rect.lo not in dims or rect.hi not in dims:
         raise DomainError(f"rectangle [{rect.lo}, {rect.hi}] does not fit in {dims}")
     (x0, y0), (x1, y1) = rect.lo, rect.hi
-    inside = [cell_index(dims, p) for p in x.points if x0 <= p.x <= x1 and y0 <= p.y <= y1]
-    flags, _ = index_closure(dims)(inside)
+    inside = [p for p in x.points if x0 <= p.x <= x1 and y0 <= p.y <= y1]
+    flags, _ = index_closure(dims)(cell_indices(dims, inside))
     return all(flags.find(0, c * dims.n + y0 - 1, c * dims.n + y1) < 0 for c in range(x0 - 1, x1))
 
 
@@ -242,8 +249,9 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
     that their sizes add up to the closure and that they are pairwise >= 3
     apart are checked at runtime, which together prove the decomposition.
     """
+    check_grid(ps.dims, "closure_rects")
     m, n = ps.dims
-    flags, count = index_closure(ps.dims)(_seed_indices(ps))
+    flags, count = index_closure(ps.dims)(cell_indices(ps.dims, ps.points))
     rects: list[Rect] = []
     for x in range(m):
         top = (x + 1) * n
@@ -285,11 +293,8 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
 
 def lattice_closure(ls: LatticeSet, r: int = 2) -> LatticeSet:
     """Least fixpoint of ``ls`` under the r-neighbour rule on [side]^dim."""
-    dims = ls.dims
-    flags, _ = index_closure(dims, r)([cell_index(dims, p) for p in ls.points])
-    return LatticeSet(dims, compress(product(range(1, dims.side + 1), repeat=dims.dim), flags))
+    return _closed(ls, r)[0]
 
 
 def lattice_percolates(ls: LatticeSet, r: int = 2) -> bool:
-    _, count = index_closure(ls.dims, r)([cell_index(ls.dims, p) for p in ls.points])
-    return count == ls.dims.cells
+    return index_closure(ls.dims, r)(cell_indices(ls.dims, ls.points))[1] == ls.dims.cells

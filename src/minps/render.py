@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .grid import PointSet
-from .percolate import cell_index, check_closure, closure_rects, index_closure
+from .grid import PointSet, check_grid
+from .percolate import cell_indices, check_closure, closure_rects, index_closure
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,10 @@ class RenderOptions:
 
 def render(ps: PointSet, opts: RenderOptions | None = None) -> str:
     opts = opts or RenderOptions()
+    check_grid(ps.dims, "render")
     check_closure(ps.dims)  # the drawing is as large as the grid
     n = ps.dims.n
-    seeds = [cell_index(ps.dims, p) for p in ps.points]
+    seeds = cell_indices(ps.dims, ps.points)
     # one code per cell in flat index order: 0 off, 1 closure, 2 seed
     codes = index_closure(ps.dims)(seeds)[0] if opts.show_closure else bytearray(ps.dims.cells)
     for i in seeds:

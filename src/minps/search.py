@@ -13,7 +13,9 @@ maximization targets scan the one range [1, m*n], and a partition raises lo
 past each hit, so its first hit at each size is the least one and its last
 hit is its largest.  The value is the largest hit of any partition, and the
 witness the earliest partition's hit of that size.  ``min_percolating``
-scans the ranges (s, s) from s = 1 up to the first with a hit.
+scans the ranges (s, s) up to the first with a hit, from s = 1 on a
+lattice and from s = (m+2)//2 on a grid, the least size whose seeds can
+reach column m as the second cut below requires.
 
 On grids, subsets are bitmasks (cell (x-1)*n + (y-1), so column x is n
 consecutive cells), and each symmetry is a pair of per-axis maps: it sends
@@ -65,11 +67,12 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
 from .errors import DomainError, EngineError
-from .grid import GridDims, LatticeDims, LatticeSet, PointSet
-from .percolate import cell_at, cell_index, check_closure, index_closure
-from .verify import corner_cells
+from .grid import GridDims, LatticeDims, LatticeSet, PointSet, check_grid
+from .percolate import cell_at, cell_indices, check_closure, index_closure
+from .verify import corner_cells, corners
 
 DEFAULT_MAX_NODES = 200_000_000
 
@@ -81,7 +84,11 @@ class SearchBudget:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.workers < 1:
+        try:
+            counts = index(self.max_nodes), index(self.workers)
+        except TypeError:
+            raise DomainError("budget max_nodes and workers must be integers") from None
+        if min(counts) < 1:
             raise DomainError("budget fields must be positive")
         if self.max_time is not None and not self.max_time > 0:  # NaN too
             raise DomainError("budget fields must be positive")
@@ -119,7 +126,7 @@ class _Shape:
         self.corner = 0
         if target == "corner":
             dims = GridDims(m, n)
-            idx = sorted(cell_index(dims, p) for p in corner_cells(dims))
+            idx = sorted(cell_indices(dims, corner_cells(dims)))
             self.corner = sum(1 << i for i in idx)
             maps = {(c, r) for c, r in maps if sorted(c[i // n] + r[i % n] for i in idx) == idx}
         self.symmetries = sorted(maps)
@@ -174,9 +181,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     path: list[int] = []
     stack = []
     hit = None
-    # Each cell is at most two columns after the one before, and the last is
-    # in column m.
-    it = iter(range(first, first + (m - 1 <= 2 * (hi - 1))))
+    it = iter((first,))
     nodes = 0
     while True:
         for c in it:
@@ -349,6 +354,7 @@ def max_minps(dims: GridDims, budget: SearchBudget | None = None) -> SearchResul
     """Exact maximum size of a MinPS, with a lexicographically-least canonical
     witness.  With an exhausted budget the value is a lower bound and
     ``exhaustive`` is False."""
+    check_grid(dims, "max_minps")
     return _drive(dims, "minps", [(1, dims.cells)], budget or SearchBudget())
 
 
@@ -356,8 +362,7 @@ def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> S
     """Exact maximum size of a corner-avoiding MinPS; value 0 with an empty
     witness when no such set exists.  Symmetry reduction uses only the
     symmetries that preserve the pair of protected corners."""
-    if dims.m < 2 or dims.n < 2:
-        raise DomainError(f"corner-avoiding search needs at least 2x2, got {dims}")
+    corners(dims)  # DomainError unless dims is a grid of at least 2x2
     return _drive(dims, "corner", [(1, dims.cells)], budget or SearchBudget())
 
 
@@ -365,10 +370,11 @@ def min_percolating(dims: GridDims | LatticeDims, budget: SearchBudget | None = 
                     *, r: int = 2) -> SearchResult:
     """Smallest percolating set: 2D grids with the standard rule, or a
     [side]^d lattice with threshold ``r``."""
-    if isinstance(dims, GridDims) and r != 2:
+    grid = isinstance(dims, GridDims)
+    if grid and r != 2:
         raise DomainError("2D grid search supports the 2-neighbour rule only")
-    rule = "perc" if isinstance(dims, GridDims) else r
-    return _drive(dims, rule, ((s, s) for s in range(1, dims.cells + 1)),
+    lo = (dims.m + 2) // 2 if grid else 1
+    return _drive(dims, "perc" if grid else r, ((s, s) for s in range(lo, dims.cells + 1)),
                   budget or SearchBudget())
 
 

@@ -26,8 +26,8 @@ from itertools import product
 from operator import le
 
 from .errors import DomainError, EngineError
-from .grid import GridDims, LatticeSet, Point, PointSet, Rect
-from .percolate import cell_at, cell_index, index_closure
+from .grid import GridDims, LatticeSet, Point, PointSet, Rect, check_grid
+from .percolate import cell_indices, index_closure
 
 OK = "ok"
 NOT_PERCOLATING = "not-percolating"
@@ -56,6 +56,7 @@ class Corners:
 
 
 def corners(dims: GridDims) -> Corners:
+    check_grid(dims, "corners")
     m, n = dims
     if m < 2 or n < 2:
         raise DomainError(f"corners need at least a 2x2 grid, got {dims}")
@@ -155,10 +156,10 @@ def _certify(s: PointSet | LatticeSet, corner_boxes) -> Verdict:
     through the merge tree, failing on one that percolates or meets a corner box."""
     dims = s.dims
     points = sorted(s.points)
-    _, count = index_closure(dims)([cell_index(dims, p) for p in points])
+    _, count = index_closure(dims)(cell_indices(dims, points))
     if count != dims.cells:
         return Verdict(False, None, NOT_PERCOLATING)
-    full = (cell_at(dims, 0), cell_at(dims, dims.cells - 1))
+    full = ((1,) * len(dims.sizes), dims.sizes)
     parent, children, box = _merge_tree(points)
     if parent.count(-1) != 1 or box[-1] != full:
         raise EngineError(f"the box process ends at {box[-1]}, the closure fills {dims}")

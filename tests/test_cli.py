@@ -159,6 +159,15 @@ def test_search_table_flag_needs_grid_max_minps(extra, capsys):
     assert captured.out == "" and "--table" in captured.err
 
 
+@pytest.mark.parametrize("target", ["E", "Ec"])
+@pytest.mark.parametrize("r", ["5", "0"])
+def test_search_rejects_r_for_maximisation_targets(target, r, capsys):
+    # only minperc takes a threshold; E and Ec are 2-neighbour grid targets
+    assert run(["search", "--target", target, "--dims", "3", "3", "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--r" in captured.err
+
+
 def test_search_rejects_nan_time(capsys):
     assert run(["search", "--target", "E", "--dims", "3", "3", "--max-time", "nan"]) == 2
     assert "budget" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Module boundaries of the package: no ``minps`` module reaches into another
 module's private (underscore) names, no function writes module state through
-a ``global`` statement, and no module keeps a ``functools`` cache."""
+a ``global`` statement, no module keeps a ``functools`` cache, and points
+become flat indices in bulk, through ``cell_indices``, never one at a time
+through ``cell_index``."""
 
 import ast
 from pathlib import Path
@@ -109,3 +111,34 @@ def test_detects_module_caches(tmp_path):
     )
     assert sorted(_module_caches(sample)) == [
         "functools.cache", "functools.lru_cache", "functools.lru_cache"]
+
+
+def _cell_index_uses(path: Path) -> list[int]:
+    """Lines that name ``cell_index`` other than by defining it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "cell_index")
+                or (isinstance(node, ast.Attribute) and node.attr == "cell_index")):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.lineno for a in node.names if a.name == "cell_index"]
+    return sorted(found)
+
+
+def test_points_are_indexed_in_bulk():
+    offenders = {p.name: _cell_index_uses(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_cell_index_uses(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .percolate import cell_index, cell_indices\n"
+        "def cell_index(dims, p):\n"
+        "    return cell_indices(dims, (p,))[0]\n"
+        "idx = [cell_index(dims, p) for p in points]\n"
+        "idx = list(map(partial(cell_index, dims), points))\n"
+        "idx = percolate.cell_index(dims, p)\n"
+    )
+    assert _cell_index_uses(sample) == [1, 4, 5, 6]

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -17,15 +18,20 @@ from minps import (
     ResourceLimitError,
     closure,
     closure_rects,
+    corners,
     internally_spans,
+    is_corner_avoiding_minps,
     ladder,
     lattice_closure,
     lattice_percolates,
+    max_corner_avoiding,
+    max_minps,
     percolates,
+    render,
     simple_minps,
     spans,
 )
-from minps.percolate import _close, _engine, cell_at, cell_index, index_closure
+from minps.percolate import _close, _engine, cell_at, cell_index, cell_indices, index_closure
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -335,12 +341,52 @@ class TestLattice:
             lattice_closure(ls, r=0)
 
 
+class TestLatticeInput:
+    """Lattice sets: the 2-neighbour calls take them, the 2-D-only calls raise DomainError."""
+
+    @pytest.mark.parametrize("dims,pts", [(LatticeDims(3, 2), [(1, 1), (2, 2), (3, 3)]),
+                                          (LatticeDims(2, 3), [(1, 1, 1), (1, 2, 2), (2, 1, 2)])])
+    def test_two_neighbour_calls_take_lattice_sets(self, dims, pts):
+        ls = LatticeSet(dims, pts)
+        cl = closure(ls)
+        assert cl.dims == dims and cl.infected == lattice_closure(ls)
+        assert set(cl.infected.points) == naive_lattice_closure(dims.side, dims.dim, 2, pts)
+        assert percolates(ls) and lattice_percolates(ls)
+        assert spans(ls, cl.infected) and not spans(ls.without(pts[0]), cl.infected)
+        assert not percolates(ls.without(pts[0]))
+
+    def test_a_square_lattice_closes_like_its_grid(self):
+        pts = [(1, 1), (2, 3), (4, 4), (5, 1)]
+        grid, square = closure(ps(5, 5, pts)), closure(LatticeSet(LatticeDims(5, 2), pts))
+        assert square.infected.points == grid.infected.points
+        assert square.generations == grid.generations
+
+    @pytest.mark.parametrize("dims", [LatticeDims(3, 2), LatticeDims(3, 3)])
+    @pytest.mark.parametrize("call", [
+        closure_rects,
+        lambda s: internally_spans(s, Rect(Point(1, 1), Point(2, 2))),
+        render,
+        lambda s: corners(s.dims),
+        is_corner_avoiding_minps,
+        lambda s: max_minps(s.dims),
+        lambda s: max_corner_avoiding(s.dims),
+    ], ids=["closure_rects", "internally_spans", "render", "corners",
+            "is_corner_avoiding_minps", "max_minps", "max_corner_avoiding"])
+    def test_2d_only_calls_reject_lattice_sets(self, call, dims):
+        with pytest.raises(DomainError, match="2D grid"):
+            call(LatticeSet(dims, [(1,) * dims.dim]))
+
+
 class TestFlatIndex:
     @pytest.mark.parametrize("dims", [GridDims(3, 4), GridDims(1, 5), LatticeDims(3, 3), LatticeDims(2, 4)])
     def test_cell_at_inverts_cell_index(self, dims):
         cells = [cell_at(dims, i) for i in range(dims.cells)]
         assert all(c in dims for c in cells) and len(set(cells)) == dims.cells
         assert [cell_index(dims, c) for c in cells] == list(range(dims.cells))
+        # the bulk indexer agrees cell by cell, in any order, and sizes spans the cells
+        assert cell_indices(dims, cells[::-1]) == [cell_index(dims, c) for c in cells[::-1]]
+        assert cell_indices(dims, []) == []
+        assert math.prod(dims.sizes) == dims.cells
 
     def test_grid_index_order_is_point_order(self):
         for dims in [GridDims(4, 3), LatticeDims(3, 3), LatticeDims(2, 4)]:

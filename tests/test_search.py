@@ -74,6 +74,13 @@ class TestMaxMinps:
         with pytest.raises(DomainError):
             SearchBudget(**field)
 
+    @pytest.mark.parametrize("field", [{"max_nodes": 2.5}, {"max_nodes": "9"},
+                                       {"workers": 1.5}, {"workers": 2.0}])
+    def test_budget_rejects_non_integer_counts(self, field):
+        # a fractional worker count would reach the worker pool
+        with pytest.raises(DomainError, match="integers"):
+            SearchBudget(**field)
+
     def test_nodes_and_elapsed_populated(self):
         res = max_minps(GridDims(3, 3))
         assert res.nodes > 0
@@ -272,6 +279,13 @@ class TestLargeGrids:
         res = search(GridDims(300, 300), SearchBudget(max_time=0.2))
         assert not res.exhaustive and res.nodes > 0
         assert time.monotonic() - start < 0.5
+
+    def test_time_budget_reaches_nodes_with_workers(self):
+        # Sizes below (m+2)//2 hold no percolating grid set and are not
+        # scanned; each once sent a shape to the pool per partition, and on
+        # 300x300 that alone spent the whole budget before the first node.
+        res = min_percolating(GridDims(300, 300), SearchBudget(max_time=0.5, workers=2))
+        assert not res.exhaustive and res.nodes > 0
 
     @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding, min_percolating])
     def test_node_budget_bounds_the_work(self, search):
