@@ -14,7 +14,6 @@ from .grid import (
     parse_points,
     rotate180,
     save_points,
-    set_distance,
     translate,
     transpose,
 )
@@ -35,7 +34,6 @@ from .construct import (
     LATTICE_DENSITY_FLOOR,
     MINPS,
     PERCOLATING,
-    CertifiedLatticeSet,
     CertifiedSet,
     chain,
     corner_avoiding_square,
@@ -66,14 +64,14 @@ __all__ = [
     "BoundsError", "DomainError", "EngineError", "ResourceLimitError",
     "GridDims", "LatticeDims", "LatticeSet", "Point", "PointSet", "Rect",
     "format_points", "load_points", "parse_points", "save_points",
-    "rotate180", "set_distance", "translate", "transpose",
+    "rotate180", "translate", "transpose",
     "Closure", "RectDecomposition", "closure", "closure_rects",
     "internally_spans", "lattice_closure", "lattice_percolates",
     "percolates", "spans",
     "Corners", "Verdict", "corner_cells", "corners",
     "is_corner_avoiding_minps", "is_minps",
     "CORNER_AVOIDING", "LATTICE_DENSITY_FLOOR", "MINPS", "PERCOLATING",
-    "CertifiedLatticeSet", "CertifiedSet",
+    "CertifiedSet",
     "chain", "corner_avoiding_square", "corner_avoiding_strip",
     "dense_minps", "dense_minps_params", "double", "embed_corner_avoiding",
     "extend", "glue", "ladder", "lattice_minps", "simple_minps",

@@ -51,10 +51,6 @@ class CertifiedSet:
         return len(self.points)
 
 
-# The lattice name stays importable; one class serves grids and lattices.
-CertifiedLatticeSet = CertifiedSet
-
-
 def _ladder_pairs(k: int, a: int, b: int) -> set[tuple[int, int]]:
     return {(a, b + 3 * i + dy) for i in range(k) for dy in (0, 2)}
 

@@ -37,7 +37,18 @@ _POINT = partial(tuple.__new__, Point)  # Point(x, y) from (x, y), without a Pyt
 
 
 class _Box:
-    """Cell count and membership, read off the axis sizes ``sizes``."""
+    """Cell count and membership, read off the axis sizes ``sizes``.  Every
+    field is a positive integer, stored as an ``int`` (``operator.index``)."""
+
+    def __post_init__(self) -> None:
+        fields = vars(self)  # the dataclass fields, in order
+        try:
+            values = list(map(index, fields.values()))
+        except TypeError:
+            raise DomainError(f"{self._noun} dims must be integers, got {self!r}") from None
+        if min(values) < 1:
+            raise DomainError(f"{self._noun} dims must be positive, got {self}")
+        fields.update(zip(list(fields), values))  # frozen: past __setattr__
 
     @property
     def cells(self) -> int:
@@ -53,10 +64,7 @@ class GridDims(_Box):
 
     m: int
     n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise DomainError(f"grid dims must be positive, got {self.m}x{self.n}")
+    _noun = "grid"
 
     @property
     def sizes(self) -> tuple[int, int]:
@@ -77,10 +85,7 @@ class LatticeDims(_Box):
 
     side: int
     dim: int
-
-    def __post_init__(self) -> None:
-        if self.side < 1 or self.dim < 1:
-            raise DomainError(f"lattice dims must be positive, got [{self.side}]^{self.dim}")
+    _noun = "lattice"
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -232,13 +237,6 @@ def transpose(ps: PointSet) -> PointSet:
     """Swap x and y; the result lives on the transposed grid."""
     m, n = ps.dims
     return PointSet(GridDims(n, m), [(y, x) for x, y in ps.points])
-
-
-def set_distance(a: PointSet, b: PointSet) -> int:
-    """Minimum taxicab distance between points of the two sets."""
-    if not a.points or not b.points:
-        raise DomainError("set_distance requires two non-empty sets")
-    return min(abs(p.x - q.x) + abs(p.y - q.y) for p in a.points for q in b.points)
 
 
 # --- .pts text format ------------------------------------------------------

@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from math import prod
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import Callable, Iterable
 
 from .errors import DomainError, EngineError, ResourceLimitError
@@ -80,6 +80,10 @@ def cell_cap() -> int:
 def check_closure(dims: GridDims | LatticeDims, r: int = 2) -> None:
     """Raise DomainError for a threshold ``dims`` does not support, and
     ResourceLimitError when ``dims`` has more cells than the cap."""
+    try:
+        r = index(r)
+    except TypeError:
+        raise DomainError(f"threshold must be an integer, got {r!r}") from None
     if r < 1:
         raise DomainError(f"threshold must be >= 1, got {r}")
     if isinstance(dims, GridDims) and r != 2:
@@ -108,13 +112,8 @@ def cell_indices(dims: GridDims | LatticeDims, points: Iterable[tuple[int, ...]]
     return list(map(sub, idx, repeat(ones)))
 
 
-def cell_index(dims: GridDims | LatticeDims, p: tuple[int, ...]) -> int:
-    """Flat index of cell ``p``, in the layout ``cell_indices`` documents."""
-    return cell_indices(dims, (p,))[0]
-
-
 def cell_at(dims: GridDims | LatticeDims, i: int) -> tuple[int, ...]:
-    """The cell with flat index ``i``: the inverse of ``cell_index``."""
+    """The cell with flat index ``i``: the inverse of ``cell_indices``."""
     coords = []
     for size in reversed(dims.sizes):
         i, c = divmod(i, size)

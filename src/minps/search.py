@@ -5,59 +5,58 @@ Targets:
   max_corner_avoiding  largest corner-avoiding MinPS (0 when none exists)
   min_percolating      smallest percolating set, 2D grids or [n]^d lattices
 
-Candidates are scanned in size ranges [lo, hi], each split into partitions
-by first cell and scanned depth-first in increasing cell order, so the sets
-of one size are reached in lexicographic order of their cell tuples; each is
-reduced to one canonical representative per symmetry orbit.  The
+Grids and lattices share one scan.  A subset is a bitmask over the flat
+layout of ``percolate`` (first coordinate slowest: grid column x is n
+consecutive cells).  Candidates are scanned in size ranges [lo, hi], each
+split into partitions by first cell and scanned depth-first in increasing
+cell order, so the sets of one size come in lexicographic order.  The
 maximization targets scan the one range [1, m*n], and a partition raises lo
-past each hit, so its first hit at each size is the least one and its last
-hit is its largest.  The value is the largest hit of any partition, and the
-witness the earliest partition's hit of that size.  ``min_percolating``
-scans the ranges (s, s) up to the first with a hit, from s = 1 on a
-lattice and from s = (m+2)//2 on a grid, the least size whose seeds can
-reach column m as the second cut below requires.
+past each hit, so its last hit is its largest and, of that size, the least.
+The value is the largest hit of any partition, and the witness the earliest
+partition's hit of that size.  ``min_percolating`` scans the ranges (s, s)
+up to the first with a hit, from the least size the slab lemma allows.
 
-On grids, subsets are bitmasks (cell (x-1)*n + (y-1), so column x is n
-consecutive cells), and each symmetry is a pair of per-axis maps: it sends
-cell x*n + y (0-based) to cols[x] + rows[y], where a flip reverses one
-range and, on a square, a transpose swaps the roles of the two.  A
-percolating set ends its branch: no proper superset of it is minimal.  Two
-cuts drop a whole subtree; each drops only sets that can never be a hit:
+A grid hit is canonical: the least set of its orbit under the symmetries,
+each a pair of per-axis maps sending cell x*n + y (0-based) to cols[x] +
+rows[y].  A lattice hit needs no test: the first hit of a size is already
+the least set of its orbit.  A percolating set ends its branch, as no
+proper superset of it is minimal.  Two cuts drop only sets that can never
+be a hit:
 
 * closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
-  cl(P - v) meets a protected corner, the same holds for every S containing
-  P: S is not minimal, or not corner-avoiding.  The maximization targets
-  test every seed of each new prefix so, and a percolating set of size at
-  least lo is then a hit as soon as it is canonical.  The path keeps cl(P)
-  and each cl(P - v), and a new cell c closes each from its parent's mask,
-  as cl(A | B) == cl(cl(A) | B).  ``min_percolating`` makes no such test and
-  closes only full-size sets: a smallest percolating set is minimal anyway,
-  and no smaller set percolates once the sizes below were scanned;
-* a row or column without a seed stays empty when it is on the border or
-  next to another empty line, as each of its cells has one neighbour off
-  the line.  Every target percolates, so the first cell is in column 1,
-  each next one at most two columns on, and the last in column m; and the
-  cells still to place must break every empty run of L rows, which takes
-  L//2 of them, or (L+1)//2 at the border.  A cell is visited only while a
-  size in [lo, hi] leaves room for both.
+  cl(P - v) meets a protected corner, no S containing P is minimal, or
+  corner-avoiding.  The maximization targets test every seed of each new
+  prefix so; the path keeps cl(P) and each cl(P - v), and a new cell c
+  closes each from its parent's mask, as cl(A | B) == cl(cl(A) | B).
+  ``min_percolating`` closes only full-size sets: a smallest percolating
+  set is minimal anyway;
+* the slab lemma.  A slab is the set of cells with one coordinate fixed.
+  For r >= 2 a slab without seeds stays empty on the border or next to
+  another empty slab, as each of its cells has at most one neighbour off
+  the two; for r >= 3 it stays empty anywhere, as each of its cells has at
+  most two neighbours off it.  So seeded slabs are at most ``gap`` apart (2
+  for r = 2, 1 for r >= 3) and reach both borders.  Along the slowest axis
+  the first cell is in slab 1, each next one at most gap slabs on and the
+  last in slab m, which takes (m + 2*gap - 2) // gap seeds.  Along the
+  fastest axis the cells still to place must break every empty run of L
+  slabs: L // gap of them, or (L + gap - 1) // gap at the border.  A cell is
+  visited only while a size in [lo, hi] leaves room for both.  r = 1 has no
+  such lemma: the scan then sees the lattice as one slab of one row.
 
-Grid closures are a shift-and-or sweep on the masks, independent of the BFS
-engine in ``percolate`` (the tests cross-check the two).  On lattices,
-every subset is closed by the r-neighbour engine in ``percolate``.
+Grid closures are the 2-neighbour shift-and-or sweep; lattice closures count
+infected neighbours over the 2d shifted masks in bit-sliced counters.  Both
+are independent of the BFS engine in ``percolate`` (the tests compare them).
 
-Grids and lattices share one loop over the ranges.  Each partition (on
-grids, only the cells of column 1 start one) gets a fixed share of the node
-budget and the whole size range, never a bound found by another partition,
-so results and node counts do not depend on the worker count; a range stops
-at its first hit of size hi.  A grid node is a visited set, counted once
-before either cut, however many sizes it serves; a lattice node is a subset.
-A result is ``exhaustive`` when no scanned partition ran out of budget.  The
-time budget is checked on every node, as a deep grid node runs one closure
-per seed of its set.  A grid search builds its shape (the bitboard
-constants, the symmetries and the protected corners) once and hands it to
-every partition scan in the scan's arguments.  A search runs at most one
-worker per CPU and keeps nothing once it returns: a worker pool is
-terminated as soon as the results the search uses are read.
+Each partition (the cells of the slowest axis's first slab) gets a fixed
+share of the node budget and the whole size range, never a bound found by
+another partition, so results and node counts do not depend on the worker
+count; a range stops at its first hit of size hi.  A node is a visited set,
+counted once before either cut.  A result is ``exhaustive`` when no scanned
+partition ran out of budget.  The deadline is read on every node.  The shape
+(bitboard constants, symmetries, protected corners) is built once per search
+and handed to every partition scan.  A search runs at most one worker per
+CPU and keeps nothing once it returns: its pool is terminated as soon as the
+results it uses are read.
 """
 
 from __future__ import annotations
@@ -66,12 +65,11 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from operator import index
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, check_grid
-from .percolate import cell_at, cell_indices, check_closure, index_closure
+from .percolate import cell_at, cell_indices, check_closure
 from .verify import corner_cells, corners
 
 DEFAULT_MAX_NODES = 200_000_000
@@ -103,34 +101,72 @@ class SearchResult:
     elapsed: float
 
 
-class _Shape:
-    """A grid's bitboard constants and the symmetries its target reduces
-    by, built once per search and handed to every partition scan.  A
-    symmetry is a pair of per-axis maps (cols, rows) that sends cell
-    x*n + y (0-based) to cols[x] + rows[y]."""
+def _axis_masks(size: int, stride: int, cells: int) -> tuple[int, int]:
+    """The cells with a neighbour below and the cells with one above along
+    the axis (size, stride): one period of bits repeated, built in O(cells)."""
+    inner, edge = "1" * ((size - 1) * stride), "0" * stride
+    reps = cells // (size * stride)
+    return int((inner + edge) * reps, 2), int((edge + inner) * reps, 2)
 
-    def __init__(self, m: int, n: int, target: str):
-        self.m, self.n, self.cells = m, n, m * n
-        self.full = (1 << m * n) - 1
-        # Cell index is (x-1)*n + (y-1); y+1 is bit i+1, x+1 is bit i+n.
-        col = (1 << n) - 1
-        self.not_top = sum((col >> 1) << (x * n) for x in range(m))  # rows 1..n-1
-        self.not_bot = sum((col ^ 1) << (x * n) for x in range(m))   # rows 2..n
-        # A flip reverses one axis; a transpose (m == n) swaps the axes' roles.
-        xs = (tuple(range(0, m * n, n)), tuple(range((m - 1) * n, -1, -n)))
-        ys = (tuple(range(n)), tuple(range(n - 1, -1, -1)))
-        maps = {(c, r) for c in xs for r in ys}
-        if m == n:
-            maps |= {(r, c) for c in xs for r in ys}
-        maps.discard((xs[0], ys[0]))  # on a thin grid some flips are the identity
+
+class _Shape:
+    """What a partition scan reads of its dims and target: the slowest
+    axis's size ``m`` and slab ``stride``, the fastest axis's size ``n``, the
+    slab ``gap``, the mask closure ``close`` and the grid symmetries."""
+
+    def __init__(self, dims: GridDims | LatticeDims, target: str, r: int = 2):
+        sizes, cells = dims.sizes, dims.cells
+        self.cells, self.full, self.r = cells, (1 << cells) - 1, min(r, 2 * len(sizes) + 1)
+        self.gap = 2 if r <= 2 else 1
+        # r = 1 has no slab lemma: the box is then one slab of one row.
+        self.m, self.n, self.stride = (1, 1, cells) if r == 1 else (
+            sizes[0], sizes[-1], cells // sizes[0])
+        maps = set()
+        if isinstance(dims, GridDims):
+            m, n = dims
+            self.close = _closure_mask
+            self.not_bot, self.not_top = _axis_masks(n, 1, cells)
+            # A flip reverses one axis; a transpose (m == n) swaps the axes' roles.
+            xs = (tuple(range(0, m * n, n)), tuple(range((m - 1) * n, -1, -n)))
+            ys = (tuple(range(n)), tuple(range(n - 1, -1, -1)))
+            maps = {(c, r) for c in xs for r in ys}
+            if m == n:
+                maps |= {(r, c) for c in xs for r in ys}
+            maps.discard((xs[0], ys[0]))  # on a thin grid some flips are the identity
+        else:
+            self.close = _lattice_closure_mask
+            side = sizes[0]
+            self.axes = [(side**k, *_axis_masks(side, side**k, cells)) for k in range(len(sizes))]
         self.corner = 0
         if target == "corner":
-            dims = GridDims(m, n)
             idx = sorted(cell_indices(dims, corner_cells(dims)))
             self.corner = sum(1 << i for i in idx)
             maps = {(c, r) for c, r in maps if sorted(c[i // n] + r[i % n] for i in idx) == idx}
         self.symmetries = sorted(maps)
         self.cut = target != "perc"  # test the prefix's seeds (see the module docstring)
+
+
+def _lattice_closure_mask(shape: _Shape, mask: int) -> int:
+    # reach[j]: the cells with at least j infected neighbours along the axes
+    # counted so far, saturating at r.  Along one axis a cell has one infected
+    # neighbour or two; two is rare on small sides, so it is skipped when empty.
+    full, r = shape.full, shape.r
+    while True:
+        reach = [full] + [0] * r
+        for stride, below, above in shape.axes:
+            lo, hi = (mask & above) << stride, (mask & below) >> stride
+            one, two = lo | hi, lo & hi
+            if two:
+                for j in range(r, 1, -1):
+                    reach[j] |= reach[j - 1] & one | reach[j - 2] & two
+            else:
+                for j in range(r, 1, -1):
+                    reach[j] |= reach[j - 1] & one
+            reach[1] |= one
+        grown = mask | reach[r]
+        if grown == full or grown == mask:
+            return grown
+        mask = grown
 
 
 def _closure_mask(shape: _Shape, mask: int) -> int:
@@ -163,15 +199,15 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     """Scan the sets of one first cell with a size in ``sizes`` = (lo, hi)
     depth-first in increasing cell order; returns (hit, nodes, truncated), the
     hit being the first set of the largest size found."""
-    _, (lo, hi), first, node_cap, deadline, shape = args
-    m, n, cells, full = shape.m, shape.n, shape.cells, shape.full
-    corner, cut = shape.corner, shape.cut
-    # The set on the path: its mask and its rows.  Row y is bit y+2 of
-    # ``rows``; bits 0 and n+3 are always set, so a border run reads as an
-    # interior run one longer and a run between set bits a < b needs
-    # (b-a-1)//2 rows; ``need`` sums them.
+    (lo, hi), first, node_cap, deadline, shape = args
+    m, n, stride, gap = shape.m, shape.n, shape.stride, shape.gap
+    cells, full, corner, cut, close = shape.cells, shape.full, shape.corner, shape.cut, shape.close
+    # The set on the path: its mask and its rows (the slabs of the fastest
+    # axis).  Row y is bit y+gap of ``rows``; bits 0 and n+2*gap-1 are always
+    # set, so a border run reads as an interior run gap-1 longer and a run
+    # between set bits a < b needs (b-a-1)//gap rows; ``need`` sums them.
     mask = 0
-    rows, need = 1 | 1 << (n + 3), (n + 2) // 2
+    rows, need = 1 | 1 << (n + 2 * gap - 1), (n + 2 * gap - 2) // gap
     # With the cut: cl(mask), and cl(mask - i) for each seed i on the path.
     closed, drops = 0, []
     k = 1  # the size of the set a visited cell makes
@@ -193,14 +229,15 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             nodes += 1
             if deadline is not None and time.monotonic() > deadline:
                 return hit, nodes, True
-            y2 = c % n + 2
+            y2 = c % n + gap
             if rows >> y2 & 1:
                 crows, cneed = rows, need
             else:
                 below = (rows & ((1 << y2) - 1)).bit_length()
                 above = rows >> y2
                 top = y2 + (above & -above).bit_length() - 1
-                cneed = need - (top - below) // 2 + (y2 - below) // 2 + (top - y2 - 1) // 2
+                cneed = (need - (top - below) // gap + (y2 - below) // gap
+                         + (top - y2 - 1) // gap)
                 crows = rows | 1 << y2
             if cneed > hi - k or cneed > cells - 1 - c:
                 continue
@@ -211,18 +248,18 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                     continue
                 cdrops = []
                 for i, d in zip(path, drops):
-                    d = _closure_mask(shape, d | 1 << c)
+                    d = close(shape, d | 1 << c)
                     if d & (1 << i | corner):
                         break
                     cdrops.append(d)
                 if len(cdrops) < k - 1:
                     continue
                 cdrops.append(closed)
-                cclosed = _closure_mask(shape, closed | 1 << c)
+                cclosed = close(shape, closed | 1 << c)
             else:
                 # One size at a time from the smallest: only a full-size set is closed.
                 cdrops = drops
-                cclosed = _closure_mask(shape, cmask) if k == hi else cmask
+                cclosed = close(shape, cmask) if k == hi else cmask
             if cclosed == full:
                 # No proper superset of a percolating set is minimal.
                 if k >= lo and _is_canonical((*path, c), cmask, shape):
@@ -238,8 +275,8 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                 mask, rows, need, closed, drops = cmask, crows, cneed, cclosed, cdrops
                 k += 1
                 last += 1
-                it = iter(range(max(c + 1, (m - 1 - 2 * (hi - k)) * n),
-                                min(cells, (c // n + 3) * n)))
+                it = iter(range(max(c + 1, (m - 1 - gap * (hi - k)) * stride),
+                                min(cells, (c // stride + 1 + gap) * stride)))
                 break
         else:
             if not stack:
@@ -250,27 +287,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             last -= 1
 
 
-def _scan_lattice_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    """The lattice counterpart of ``_scan_partition``, one size at a time
-    (lo == hi): a candidate is a hit when its r-neighbour closure fills the
-    lattice."""
-    dims, (_, s), first, node_cap, deadline, r = args
-    close = index_closure(dims, r)
-    cells = dims.cells
-    nodes = 0
-    for rest in combinations(range(first + 1, cells), s - 1):
-        if nodes >= node_cap:
-            return None, nodes, True
-        nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return None, nodes, True
-        cand = (first,) + rest
-        if close(cand)[1] == cells:
-            return cand, nodes, False
-    return None, nodes, False
-
-
-def _run_block(dims, rule, sizes, node_cap, deadline, pool):
+def _run_block(shape, sizes, node_cap, deadline, pool):
     """Scan the partitions of the sizes ``sizes`` = (lo, hi) in first-cell
     order and return the largest hit, the earliest partition's on a tie; stop
     at the first hit of size hi.  Partition budgets are fixed shares of
@@ -278,14 +295,13 @@ def _run_block(dims, rule, sizes, node_cap, deadline, pool):
     is identical for any worker count.  Nodes and truncation are summed over
     the partitions scanned."""
     lo, hi = sizes
-    lattice = isinstance(dims, LatticeDims)
-    scan = _scan_lattice_partition if lattice else _scan_partition
-    # A percolating grid set has a seed in column 1, the first n cells.
-    parts = dims.cells - lo + 1 if lattice else min(dims.n, dims.cells - lo + 1)
+    # A percolating set has a seed in the first slab of the slowest axis.
+    parts = min(shape.stride, shape.cells - lo + 1)
     base_cap, extra = divmod(node_cap, parts)
-    arglist = [(dims, sizes, first, base_cap + (first < extra), deadline, rule)
+    arglist = [(sizes, first, base_cap + (first < extra), deadline, shape)
                for first in range(parts)]
-    results = pool.imap(scan, arglist) if pool is not None and parts > 1 else map(scan, arglist)
+    results = (pool.imap(_scan_partition, arglist) if pool is not None and parts > 1
+               else map(_scan_partition, arglist))
     best = None
     nodes = 0
     truncated = False
@@ -304,20 +320,19 @@ def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | 
     return cls(dims, frozenset(cell_at(dims, i) for i in cand))
 
 
-def _drive(dims: GridDims | LatticeDims, rule: str | int, ranges,
-           budget: SearchBudget) -> SearchResult:
-    """Scan the size ranges in ``ranges`` until one has a hit.  ``rule`` is
-    the threshold r on lattices, and the target ("minps", "corner" or "perc")
-    on grids; every partition scan gets r, or the grid's shape built for the
-    target.  The result is ``exhaustive`` when no partition that was scanned
-    ran out of nodes or time: the ranges before the last were then covered in
-    full, and the last up to its deciding hit, which settles the value and the
-    lexicographically least witness.  The cell cap is checked before the shape
-    or any partition list is built."""
-    lattice = isinstance(dims, LatticeDims)
-    check_closure(dims, rule if lattice else 2)
-    if not lattice:
-        rule = _Shape(dims.m, dims.n, rule)
+def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
+           r: int = 2) -> SearchResult:
+    """Scan the size ranges of the target ("minps", "corner" or "perc") until
+    one has a hit.  The result is ``exhaustive`` when no partition that was
+    scanned ran out of nodes or time: the ranges before the last were then
+    covered in full, and the last up to its deciding hit, which settles the
+    value and the lexicographically least witness.  The threshold and the
+    cell cap are checked before the shape or any partition list is built."""
+    check_closure(dims, r)
+    shape = _Shape(dims, target, r)
+    m, gap, cells = shape.m, shape.gap, shape.cells
+    ranges = ([(1, cells)] if shape.cut
+              else ((s, s) for s in range((m + 2 * gap - 2) // gap, cells + 1)))
     start = time.monotonic()
     deadline = None if budget.max_time is None else start + budget.max_time
     workers = min(budget.workers, os.cpu_count() or 1)
@@ -331,7 +346,7 @@ def _drive(dims: GridDims | LatticeDims, rule: str | int, ranges,
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
                 truncated = True
                 break
-            h, nodes, trunc = _run_block(dims, rule, sizes, remaining, deadline, pool)
+            h, nodes, trunc = _run_block(shape, sizes, remaining, deadline, pool)
             total_nodes += nodes
             truncated = truncated or trunc
             if h is not None:
@@ -355,7 +370,7 @@ def max_minps(dims: GridDims, budget: SearchBudget | None = None) -> SearchResul
     witness.  With an exhausted budget the value is a lower bound and
     ``exhaustive`` is False."""
     check_grid(dims, "max_minps")
-    return _drive(dims, "minps", [(1, dims.cells)], budget or SearchBudget())
+    return _drive(dims, "minps", budget or SearchBudget())
 
 
 def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
@@ -363,19 +378,14 @@ def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> S
     witness when no such set exists.  Symmetry reduction uses only the
     symmetries that preserve the pair of protected corners."""
     corners(dims)  # DomainError unless dims is a grid of at least 2x2
-    return _drive(dims, "corner", [(1, dims.cells)], budget or SearchBudget())
+    return _drive(dims, "corner", budget or SearchBudget())
 
 
 def min_percolating(dims: GridDims | LatticeDims, budget: SearchBudget | None = None,
                     *, r: int = 2) -> SearchResult:
     """Smallest percolating set: 2D grids with the standard rule, or a
     [side]^d lattice with threshold ``r``."""
-    grid = isinstance(dims, GridDims)
-    if grid and r != 2:
-        raise DomainError("2D grid search supports the 2-neighbour rule only")
-    lo = (dims.m + 2) // 2 if grid else 1
-    return _drive(dims, "perc" if grid else r, ((s, s) for s in range(lo, dims.cells + 1)),
-                  budget or SearchBudget())
+    return _drive(dims, "perc", budget or SearchBudget(), r)
 
 
 def monotonicity_table(max_m: int, max_n: int,

@@ -4,7 +4,7 @@ Everything here is deliberately naive: plain sets, synchronous sweeps until
 nothing changes.  None of it shares code with the package.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def naive_closure(m, n, seeds):
@@ -161,6 +161,18 @@ def brute_force_min_percolating(m, n):
     for s in range(1, m * n + 1):
         for chosen in combinations(cells, s):
             if naive_percolates(m, n, chosen):
+                return s, chosen
+    return 0, ()
+
+
+def brute_force_lattice_min_percolating(side, d, r):
+    """(size, set) of the smallest set that percolates on [side]^d under
+    threshold r, by closing every subset with the naive engine, the set being
+    the lexicographically least of that size."""
+    cells = list(product(range(1, side + 1), repeat=d))
+    for s in range(1, len(cells) + 1):
+        for chosen in combinations(cells, s):
+            if len(naive_lattice_closure(side, d, r, chosen)) == len(cells):
                 return s, chosen
     return 0, ()
 

@@ -14,9 +14,10 @@ from minps import (
     PointSet,
     Rect,
     format_points,
+    lattice_percolates,
+    min_percolating,
     parse_points,
     rotate180,
-    set_distance,
     translate,
     transpose,
 )
@@ -24,6 +25,11 @@ from minps import (
 
 def ps(m, n, pts):
     return PointSet(GridDims(m, n), frozenset(pts))
+
+
+def distance(a, b):
+    """Least taxicab distance between points of the two sets."""
+    return min(abs(p.x - q.x) + abs(p.y - q.y) for p in a.points for q in b.points)
 
 
 @st.composite
@@ -43,6 +49,25 @@ class TestDims:
             GridDims(0, 3)
         with pytest.raises(DomainError):
             LatticeDims(2, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: GridDims(2.5, 3), lambda: GridDims("3", 3), lambda: GridDims(3, None),
+        lambda: LatticeDims(3, 2.0), lambda: LatticeDims("2", 2),
+        lambda: min_percolating(LatticeDims(2, 2), r=2.0),
+        lambda: min_percolating(LatticeDims(2, 2), r="2"),
+        lambda: lattice_percolates(LatticeSet(LatticeDims(2, 2), [(1, 1)]), r=2.5),
+    ], ids=["grid-float", "grid-str", "grid-none", "lattice-float", "lattice-str",
+            "search-r-float", "search-r-str", "closure-r-float"])
+    def test_fields_and_thresholds_must_be_integers(self, call):
+        # 2.5 was once kept, then written as 'dims 2.5 3', which no parser reads
+        with pytest.raises(DomainError, match="integer"):
+            call()
+
+    def test_integer_likes_become_ints(self):
+        dims = GridDims(True, 3)
+        assert dims == GridDims(1, 3) and type(dims.m) is int
+        assert format_points(PointSet(dims, [(1, 2)])) == "dims 1 3\n1 2\n"
+        assert type(LatticeDims(2, True).dim) is int
 
     def test_unpack_and_contains(self):
         m, n = GridDims(4, 7)
@@ -225,27 +250,7 @@ class TestTranslate:
             if len(a) >= 1:
                 other = ps(9, 9, [(9, 9)])
                 moved = translate(other, -3, -4)
-                assert set_distance(a, moved) == set_distance(b, other)
-
-
-class TestSetDistance:
-    @pytest.mark.parametrize(
-        "a,b,want",
-        [([(1, 1)], [(1, 3)], 2), ([(1, 1)], [(2, 3)], 3), ([(1, 1)], [(1, 1)], 0)],
-    )
-    def test_examples(self, a, b, want):
-        assert set_distance(ps(3, 3, a), ps(3, 3, b)) == want
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            set_distance(ps(2, 2, []), ps(2, 2, [(1, 1)]))
-
-    def test_symmetry_and_triangle_on_singletons(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            p, q, r = [ps(9, 9, [(rng.randint(1, 9), rng.randint(1, 9))]) for _ in range(3)]
-            assert set_distance(p, q) == set_distance(q, p)
-            assert set_distance(p, r) <= set_distance(p, q) + set_distance(q, r)
+                assert distance(a, moved) == distance(b, other)
 
 
 class TestRotate180:

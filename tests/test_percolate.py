@@ -31,7 +31,7 @@ from minps import (
     simple_minps,
     spans,
 )
-from minps.percolate import _close, _engine, cell_at, cell_index, cell_indices, index_closure
+from minps.percolate import _close, _engine, cell_at, cell_indices, index_closure
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -194,8 +194,8 @@ class TestClosureRects:
     def test_rejects_flags_that_are_not_a_closure(self, monkeypatch, infected):
         dims = GridDims(6, 6)
         flags = bytearray(dims.cells)
-        for p in infected:
-            flags[cell_index(dims, p)] = 1
+        for i in cell_indices(dims, infected):
+            flags[i] = 1
         monkeypatch.setattr(
             "minps.percolate.index_closure",
             lambda dims, r=2: lambda seeds: (flags, len(infected)),
@@ -382,9 +382,9 @@ class TestFlatIndex:
     def test_cell_at_inverts_cell_index(self, dims):
         cells = [cell_at(dims, i) for i in range(dims.cells)]
         assert all(c in dims for c in cells) and len(set(cells)) == dims.cells
-        assert [cell_index(dims, c) for c in cells] == list(range(dims.cells))
-        # the bulk indexer agrees cell by cell, in any order, and sizes spans the cells
-        assert cell_indices(dims, cells[::-1]) == [cell_index(dims, c) for c in cells[::-1]]
+        assert cell_indices(dims, cells) == list(range(dims.cells))
+        # one cell at a time, in any order, and sizes spans the cells
+        assert [cell_indices(dims, [c])[0] for c in cells[::-1]] == cell_indices(dims, cells[::-1])
         assert cell_indices(dims, []) == []
         assert math.prod(dims.sizes) == dims.cells
 

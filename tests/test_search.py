@@ -1,6 +1,8 @@
 import multiprocessing
+import random
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from minps import (
     DomainError,
     GridDims,
     LatticeDims,
+    LatticeSet,
     PointSet,
     SearchBudget,
     is_corner_avoiding_minps,
@@ -24,11 +27,13 @@ from minps import (
 )
 
 from oracles import (
+    brute_force_lattice_min_percolating,
     brute_force_max_corner_avoiding,
     brute_force_max_minps,
     brute_force_min_percolating,
     naive_certify,
     naive_corner_cells,
+    naive_lattice_closure,
     naive_symmetries,
 )
 
@@ -197,6 +202,20 @@ class TestMinPercolating:
         res = min_percolating(LatticeDims(3, 2), r=1)
         assert res.value == 1
 
+    LATTICE_CASES = ([(2, d, r) for d in range(1, 5) for r in (1, 2, 3)]
+                     + [(3, 2, r) for r in range(1, 6)] + [(4, 2, 2)])
+
+    @pytest.mark.parametrize("side,d,r", LATTICE_CASES,
+                             ids=[f"[{s}]^{d}-r{r}" for s, d, r in LATTICE_CASES])
+    def test_lattice_matches_naive_brute_force(self, side, d, r):
+        # the slab cuts drop only sets that cannot percolate, and the first hit
+        # of the least size is the lexicographically least set
+        res = min_percolating(LatticeDims(side, d), r=r)
+        value, witness = brute_force_lattice_min_percolating(side, d, r)
+        assert res.exhaustive
+        assert res.value == value
+        assert res.witness == LatticeSet(LatticeDims(side, d), witness)
+
     def test_block_stops_at_its_first_hit(self):
         # 100 nodes split over the partitions of each block; the 3-block's
         # first partition hits, so the partitions after it, which would run
@@ -220,6 +239,25 @@ class TestMinPercolating:
         one = min_percolating(LatticeDims(2, 3), SearchBudget(workers=1))
         two = min_percolating(LatticeDims(2, 3), SearchBudget(workers=2))
         assert (one.value, one.witness, one.nodes) == (two.value, two.witness, two.nodes)
+
+    @pytest.mark.parametrize("max_nodes", [40, 700, 5000])
+    def test_lattice_workers_do_not_change_a_budgeted_outcome(self, max_nodes):
+        # [3]^3 takes 1,733 nodes: the first two budgets run out, the last not
+        runs = [min_percolating(LatticeDims(3, 3), SearchBudget(max_nodes=max_nodes, workers=w))
+                for w in (1, 2)]
+        assert runs[0].nodes <= max_nodes
+        assert runs[0].exhaustive == (max_nodes == 5000)
+        assert len({(r.value, r.witness, r.nodes, r.exhaustive) for r in runs}) == 1
+
+    @pytest.mark.parametrize("side", [40, 100])
+    def test_time_budget_holds_on_a_large_cube(self, side):
+        # Once, every cell of [40]^3 started a partition of each size from 1,
+        # and each partition listed the subsets after its first cell even past
+        # the deadline: 0.5 s ran to 50 s.
+        start = time.monotonic()
+        res = min_percolating(LatticeDims(side, 3), SearchBudget(max_time=0.3))
+        assert not res.exhaustive and res.nodes > 0
+        assert time.monotonic() - start < 1.5
 
     def test_lattice_time_budget_holds_inside_a_block(self):
         import time
@@ -363,7 +401,7 @@ class TestMaskEngineAgreement:
 
         rng = random.Random(31)
         for m, n in [(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]:
-            t = _Shape(m, n, "minps")
+            t = _Shape(GridDims(m, n), "minps")
             for _ in range(300):
                 mask = rng.getrandbits(m * n)
                 pts = frozenset(
@@ -386,7 +424,7 @@ class TestMaskEngineAgreement:
         m = data.draw(st.integers(1, 7))
         n = data.draw(st.sampled_from([1, m, data.draw(st.integers(1, 7))]))
         m, n = data.draw(st.sampled_from([(m, n), (n, m)]))
-        t = _Shape(m, n, "minps")
+        t = _Shape(GridDims(m, n), "minps")
         # a fifth to a third of the cells: sparse enough not to fill the grid
         # at once, dense enough that cl(A) mostly grows
         cells = st.sets(st.integers(0, m * n - 1), min_size=m * n // 5, max_size=m * n // 3 + 1)
@@ -401,7 +439,7 @@ class TestMaskEngineAgreement:
         from minps.search import _closure_mask, _Shape
 
         m, n = data.draw(st.sampled_from([(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]))
-        t = _Shape(m, n, "minps")
+        t = _Shape(GridDims(m, n), "minps")
         columns = [((1 << n) - 1) << (x * n) for x in range(m)]
         rows = [sum(1 << (x * n + y) for x in range(m)) for y in range(n)]
         mask = data.draw(st.integers(0, t.full))
@@ -417,6 +455,44 @@ class TestMaskEngineAgreement:
 
     @settings(max_examples=300)
     @given(data=st.data())
+    def test_empty_slabs_stay_empty(self, data):
+        # The slab lemma on every axis of a lattice: a slab without seeds stays
+        # empty for r = 2 when it is on the border or next to another empty
+        # slab, and for r >= 3 wherever it is.
+        side, d = data.draw(st.sampled_from([(2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (6, 1)]))
+        r = data.draw(st.integers(2, 2 * d + 1))
+        cells = list(product(range(1, side + 1), repeat=d))
+        seeds = data.draw(st.sets(st.sampled_from(cells)))
+        for axis, v in data.draw(st.sets(st.tuples(st.integers(0, d - 1), st.integers(1, side)))):
+            seeds = {c for c in seeds if c[axis] != v}
+        closed = naive_lattice_closure(side, d, r, seeds)
+        for axis in range(d):
+            empty = {v: all(c[axis] != v for c in seeds) for v in range(1, side + 1)}
+            for v in range(1, side + 1):
+                if empty[v] and (r >= 3 or v in (1, side) or empty.get(v - 1) or empty.get(v + 1)):
+                    assert all(c[axis] != v for c in closed)
+
+    @pytest.mark.parametrize("side,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2),
+                                        (6, 1)])
+    def test_lattice_mask_closure_matches_naive(self, side, d):
+        # the bit-sliced counters against the naive sweep, for every threshold
+        # up to one past the most neighbours a cell has
+        from minps.percolate import cell_at
+        from minps.search import _Shape
+
+        dims = LatticeDims(side, d)
+        rng = random.Random(10 * side + d)
+        for r in range(1, 2 * d + 2):
+            shape = _Shape(dims, "perc", r)
+            for _ in range(60):
+                density = rng.random()
+                seeds = [i for i in range(dims.cells) if rng.random() < density]
+                got = shape.close(shape, sum(1 << i for i in seeds))
+                want = naive_lattice_closure(side, d, r, [cell_at(dims, i) for i in seeds])
+                assert {cell_at(dims, i) for i in range(dims.cells) if got >> i & 1} == want
+
+    @settings(max_examples=300)
+    @given(data=st.data())
     def test_a_redundant_prefix_seed_rules_out_the_set(self, data):
         # The grid search drops every superset S of a prefix P once a seed v of
         # P lies in the closure of P - v, or that closure meets a protected
@@ -427,7 +503,7 @@ class TestMaskEngineAgreement:
         from minps.search import _closure_mask, _Shape
 
         m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        t = _Shape(m, n, "minps")
+        t = _Shape(GridDims(m, n), "minps")
         if data.draw(st.booleans()):
             s = t.full
             for i in data.draw(st.permutations(range(m * n))):
@@ -440,7 +516,7 @@ class TestMaskEngineAgreement:
         p = sum(1 << i for i in part)
         v = 1 << data.draw(st.sampled_from(sorted(part)))
         pts = [(i // n + 1, i % n + 1) for i in seeds]
-        for corner in (0, _Shape(m, n, "corner").corner) if min(m, n) >= 2 else (0,):
+        for corner in (0, _Shape(GridDims(m, n), "corner").corner) if min(m, n) >= 2 else (0,):
             holds = naive_certify(m, n, pts, corner=bool(corner))[0]
             if _closure_mask(t, p ^ v) & (v | corner):
                 assert not holds
@@ -462,7 +538,7 @@ class TestMaskEngineAgreement:
         infected = closure(s).infected
         mask = sum(1 << ((x - 1) * n + (y - 1)) for x, y in pts)
         want = sum(1 << ((p.x - 1) * n + (p.y - 1)) for p in infected.points)
-        assert _closure_mask(_Shape(m, n, "minps"), mask) == want
+        assert _closure_mask(_Shape(GridDims(m, n), "minps"), mask) == want
         assert {c for r in closure_rects(s).rects for c in r.cells()} == infected.points
         verdict = is_minps(s)
         assert (verdict.holds, verdict.witness, verdict.detail) == naive_certify(m, n, pts)
@@ -485,7 +561,7 @@ class TestSymmetries:
         from minps.search import _Shape
 
         for n in range(1, 8):
-            shape = _Shape(m, n, "minps")
+            shape = _Shape(GridDims(m, n), "minps")
             assert _permutations(shape) == naive_symmetries(m, n)
             assert len(shape.symmetries) == (0 if m == n == 1 else 1 if min(m, n) == 1
                                              else 7 if m == n else 3)
@@ -495,7 +571,7 @@ class TestSymmetries:
         from minps.search import _Shape
 
         for n in range(2, 8):
-            shape = _Shape(m, n, "corner")
+            shape = _Shape(GridDims(m, n), "corner")
             corner = {(x - 1) * n + y - 1 for x, y in naive_corner_cells(m, n)}
             assert shape.corner == sum(1 << i for i in corner)
             assert _permutations(shape) == {
