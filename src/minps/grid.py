@@ -110,8 +110,9 @@ class Rect:
     hi: Point
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Point(*self.lo))
-        object.__setattr__(self, "hi", Point(*self.hi))
+        if type(self.lo) is not Point or type(self.hi) is not Point:
+            object.__setattr__(self, "lo", Point(*self.lo))
+            object.__setattr__(self, "hi", Point(*self.hi))
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y:
             raise DomainError(f"degenerate rectangle [{self.lo}, {self.hi}]")
 

@@ -2,14 +2,25 @@
 
 One engine serves both: each is a box of axes, of sizes ``dims.sizes``
 slowest first, (m, n) or (side,) * dim.  An axis's stride is the product of
-the sizes after it, so a grid's (size, stride) axes are ((m, n), (n, 1)); a
-cell's neighbours, one stride away along each axis, are computed when it
-leaves the queue, so a closure allocates only its countdown bytes, flags and
-queue.  The closure is a counter-based breadth-first search on flat cell
-indices: a cell enters the queue once, when its count of infected neighbours
-reaches the threshold, so one computation costs O(cells + edges).  The queue
-is processed in layers, which makes ``generations`` (the number of
-synchronous infection rounds until the fixpoint) fall out for free.
+the sizes after it, so a grid's (size, stride) axes are ((m, n), (n, 1)).
+A closure on flat cell indices runs in two phases.  Bit-parallel rounds
+keep the infected cells as one big int, cell i at bit cells - 1 - i (binary
+string order, so bytes convert at C speed): per axis, the board shifted a
+stride each way and masked by ``axis_mask`` feeds bit-sliced ``counters``
+(with an r = 2 fast path), and the cells that reach r are infected.  Then a
+counter BFS keeps ``need[v]``, the infected neighbours v still lacks (0 once
+infected), and takes each cell off its queue once, a layer per round.
+
+A round costs O(cells / word) however few cells it infects: in units of one
+cell of one round, cells + ``_ROUND_COST``, and it spares the BFS
+``_CELL_GAIN`` per cell it infects.  The rounds start if the seeds would
+cost the BFS more than the board conversions, ``_START`` * cells +
+``_ROUND_COST``, and add cost less saving to a waste sum floored at 0.  Past
+``_HANDOVER`` rounds of waste, about the hand-over's cost (a ski-rental
+rule), the BFS takes the last round's new cells as its frontier and ``need``
+built from its counters by byte operations.  The tail stays BFS as long
+closures infect few cells a round: a 300x300 spiral takes 44,696 rounds,
+1.2 s as rounds, 0.05 s as BFS.  No result depends on the hand-over.
 
 ``closure``, ``percolates`` and ``spans`` take grid sets and, under the
 same 2-neighbour rule, lattice sets.  On a grid every closure is a disjoint
@@ -17,20 +28,18 @@ union of filled rectangles at pairwise taxicab distance >= 3, and
 ``closure_rects`` reads them straight off the closure's flags; it and
 ``internally_spans`` take grid sets only.
 
-``closure`` and ``lattice_closure`` build their point set once: the product
-of the coordinate ranges is in flat index order, so ``itertools.compress``
-with the flags yields the infected cells, checked in bulk by the point set.
-
-This module alone owns the flat layout and the cell cap.  The layout reads
-nothing but ``dims.sizes``, so no part of it tells grids from lattices.
-Other modules turn points into flat indices with ``cell_indices``, one pass
+This module alone owns the flat layout, its axis masks and the cell cap.
+The layout reads nothing but ``dims.sizes``, so no part of it tells grids
+from lattices.  Other modules index points with ``cell_indices``, one pass
 per axis over all the points, read a cell back with ``cell_at``, close with
-``index_closure`` and check a shape against the cap with ``check_closure``.
+``index_closure``, or bitboards with ``axis_mask`` and ``counters``, and
+check a shape against the cap with ``check_closure``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from math import prod
@@ -43,8 +52,14 @@ from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect, chec
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "MINPS_CELL_CAP"
 
-# translate() table sending a countdown of 0 (infected) to 1 and all else to 0.
+# translate() tables: a countdown of 0 (infected) to 1, or to ASCII "1", and
+# all else to 0, or to "0"; ASCII "1" to 1 and all else to 0.
 _ONE_AT_ZERO = bytes([1]) + bytes(255)
+_ASCII_AT_ZERO = b"1" + b"0" * 255
+_FROM_ASCII = bytes(49) + bytes([1]) + bytes(206)
+
+# The hand-over, in units of one cell of one round (see the module docstring).
+_ROUND_COST, _CELL_GAIN, _START, _HANDOVER = 2500, 1000, 12, 30
 
 
 @dataclass(frozen=True)
@@ -124,16 +139,60 @@ def cell_at(dims: GridDims | LatticeDims, i: int) -> tuple[int, ...]:
 # --- the engine ----------------------------------------------------------------
 
 
+def axis_mask(size: int, stride: int, cells: int) -> int:
+    """The cells with a neighbour ``stride`` below on the axis (size, stride),
+    bit i for cell i (shifted down, those with one above), in O(cells)."""
+    period = size * stride
+    mask = (1 << period) - (1 << stride)
+    while period < cells:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << cells) - 1)
+
+
+def counters(masks: list[tuple[int, int]], r: int, board: int) -> list[int]:
+    """reach[j], j in 0..r: the cells with at least j neighbours on ``board``."""
+    reach = [-1] + [0] * r
+    for stride, below in masks:
+        lo, hi = (board << stride) & below, (board & below) >> stride
+        one, two = lo | hi, lo & hi  # one or two neighbours along this axis
+        if r == 2:
+            reach[2] |= reach[1] & one | two
+        else:
+            for j in range(r, 1, -1):
+                reach[j] |= reach[j - 1] & one | reach[j - 2] & two if two else reach[j - 1] & one
+        reach[1] |= one
+    return reach
+
+
+def _rounds(axes: tuple[tuple[int, int], ...], cells: int, r: int,
+            board: int) -> tuple[bytearray, list[int], int, int]:
+    """Bit-parallel rounds: the BFS's (need, frontier, count, generations)."""
+    masks = [(stride, axis_mask(size, stride, cells)) for size, stride in axes]
+    digits, cost, generations, waste = f"0{cells}b", cells + _ROUND_COST, 0, 0
+    while True:
+        grown = board | counters(masks, r, board)[r]
+        if grown == board:  # 1 on the uninfected cells: a countdown
+            need = bytearray(format(board ^ ((1 << cells) - 1), digits), "ascii")
+            return need.translate(_FROM_ASCII), [], board.bit_count(), generations
+        generations += 1
+        waste = max(0, waste + cost - _CELL_GAIN * (grown ^ board).bit_count())
+        if waste > _HANDOVER * cost:
+            break
+        board = grown
+    # The hand-over: a byte a cell, these masks sum to r if infected, else to the count.
+    total = sum(int.from_bytes(format(mask | grown, digits).encode().translate(_FROM_ASCII), "big")
+                for mask in counters(masks, r, board)[1:r] + [0])
+    need = bytearray(total.to_bytes(cells, "big")).translate(bytes(range(r, -1, -1)).ljust(256))
+    new = format(grown ^ board, digits)  # the round's new cells are the BFS's frontier
+    return need, [m.start() for m in re.finditer("1", new)], grown.bit_count(), generations
+
+
 def _close(axes: tuple[tuple[int, int], ...], cells: int, r: int,
            seeds: Iterable[int]) -> tuple[bytearray, int, int]:
     """Core fixpoint loop on flat cell indices. Returns (flags, count, generations).
-
-    ``need[v]`` counts the infected neighbours ``v`` still lacks; it is 0
-    exactly on infected cells.  ``r`` must fit a byte.  On an axis (size,
-    stride), ``w = u % (size * stride)`` lies in [c * stride, (c + 1) * stride)
-    for ``u``'s coordinate c, so ``u`` has a neighbour ``u - stride`` iff
-    ``w >= stride`` and ``u + stride`` iff ``w < (size - 1) * stride``.
-    """
+    ``r`` must fit a byte.  On an axis (size, stride), ``w = u % span`` (span = size * stride):
+    ``u - stride`` is a neighbour iff ``w >= stride``, ``u + stride`` iff ``w < span - stride``."""
     need = bytearray([r]) * cells
     frontier: list[int] = []
     push = frontier.append
@@ -141,8 +200,11 @@ def _close(axes: tuple[tuple[int, int], ...], cells: int, r: int,
         if need[i]:
             need[i] = 0
             push(i)
-    count = len(frontier)
-    generations = 0
+    count, generations = len(frontier), 0
+    if _CELL_GAIN * count > _START * cells + _ROUND_COST:
+        board = int(need.translate(_ASCII_AT_ZERO), 2)
+        del need  # the rounds build their own
+        need, frontier, count, generations = _rounds(axes, cells, r, board)
     while frontier:
         nxt: list[int] = []
         push = nxt.append
@@ -179,9 +241,9 @@ def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[tuple[tuple[int, int]
     flat layout, the cell count and the start count that ``_close`` takes."""
     check_closure(dims, r)
     sizes = dims.sizes
-    axes = tuple((size, prod(sizes[k + 1:])) for k, size in enumerate(sizes))
-    # No cell has more than 2 * len(axes) neighbours, so a larger threshold
-    # infects nothing new, just as 2 * len(axes) + 1 does.
+    # Size-1 axes give no neighbours.  No cell has more than 2 * len(axes), so a
+    # larger threshold acts as 2 * len(axes) + 1 does, which fits a byte.
+    axes = tuple((size, prod(sizes[k + 1:])) for k, size in enumerate(sizes) if size > 1)
     return axes, dims.cells, min(r, 2 * len(axes) + 1)
 
 
@@ -251,7 +313,7 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
     check_grid(ps.dims, "closure_rects")
     m, n = ps.dims
     flags, count = index_closure(ps.dims)(cell_indices(ps.dims, ps.points))
-    rects: list[Rect] = []
+    boxes: list[tuple[int, int, int, int]] = []  # (x0, y0, x1, y1), in lo order
     for x in range(m):
         top = (x + 1) * n
         lo = flags.find(1, x * n, top)
@@ -265,26 +327,24 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
                 w = 1
                 while x + w < m and flags[lo + w * n]:
                     w += 1
-                rect = Rect(Point(x + 1, lo - x * n + 1), Point(x + w, hi - x * n))
+                boxes.append((x + 1, lo - x * n + 1, x + w, hi - x * n))
                 for k in range(1, w):
                     gap = flags.find(0, lo + k * n, hi + k * n)
                     if gap >= 0:
-                        raise EngineError(
-                            f"closure rectangle {rect} has uninfected cell "
-                            f"{tuple(cell_at(ps.dims, gap))}"
-                        )
-                rects.append(rect)
+                        raise EngineError(f"closure rectangle {boxes[-1]} has uninfected cell "
+                                          f"{cell_at(ps.dims, gap)}")
             lo = flags.find(1, hi, top)
-    dec = RectDecomposition(tuple(rects))
-    if dec.covered != count:
-        raise EngineError(f"closure rectangles cover {dec.covered} cells, the closure {count}")
-    for i, a in enumerate(rects):
-        for b in rects[i + 1:]:
-            if b.lo.x - a.hi.x >= 3:
+    covered = sum((x1 - x0 + 1) * (y1 - y0 + 1) for x0, y0, x1, y1 in boxes)
+    if covered != count:
+        raise EngineError(f"closure rectangles cover {covered} cells, the closure {count}")
+    for i, (ax0, ay0, ax1, ay1) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            bx0, by0, _, by1 = boxes[j]
+            if bx0 - ax1 >= 3:
                 break  # the rectangles are in lo order: all later ones are as far
-            if a.distance(b) < 3:
-                raise EngineError(f"closure rectangles {a} and {b} are too close")
-    return dec
+            if max(by0 - ay1, ay0 - by1) < 3 - max(bx0 - ax1, 0):  # the taxicab gap is < 3
+                raise EngineError(f"closure rectangles {boxes[i]} and {boxes[j]} are too close")
+    return RectDecomposition(tuple(Rect(Point(x0, y0), Point(x1, y1)) for x0, y0, x1, y1 in boxes))
 
 
 # --- d-dimensional lattices -------------------------------------------------

@@ -43,9 +43,9 @@ be a hit:
   visited only while a size in [lo, hi] leaves room for both.  r = 1 has no
   such lemma: the scan then sees the lattice as one slab of one row.
 
-Grid closures are the 2-neighbour shift-and-or sweep; lattice closures count
-infected neighbours over the 2d shifted masks in bit-sliced counters.  Both
-are independent of the BFS engine in ``percolate`` (the tests compare them).
+Grid closures are the 2-neighbour shift-and-or sweep; lattice closures run
+the bit-sliced ``percolate.counters`` over ``percolate.axis_mask`` masks, as
+the closure engine's first phase does.  The tests compare both with its BFS.
 
 Each partition (the cells of the slowest axis's first slab) gets a fixed
 share of the node budget and the whole size range, never a bound found by
@@ -69,7 +69,7 @@ from operator import index
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, check_grid
-from .percolate import cell_at, cell_indices, check_closure
+from .percolate import axis_mask, cell_at, cell_indices, check_closure, counters
 from .verify import corner_cells, corners
 
 DEFAULT_MAX_NODES = 200_000_000
@@ -101,14 +101,6 @@ class SearchResult:
     elapsed: float
 
 
-def _axis_masks(size: int, stride: int, cells: int) -> tuple[int, int]:
-    """The cells with a neighbour below and the cells with one above along
-    the axis (size, stride): one period of bits repeated, built in O(cells)."""
-    inner, edge = "1" * ((size - 1) * stride), "0" * stride
-    reps = cells // (size * stride)
-    return int((inner + edge) * reps, 2), int((edge + inner) * reps, 2)
-
-
 class _Shape:
     """What a partition scan reads of its dims and target: the slowest
     axis's size ``m`` and slab ``stride``, the fastest axis's size ``n``, the
@@ -116,7 +108,8 @@ class _Shape:
 
     def __init__(self, dims: GridDims | LatticeDims, target: str, r: int = 2):
         sizes, cells = dims.sizes, dims.cells
-        self.cells, self.full, self.r = cells, (1 << cells) - 1, min(r, 2 * len(sizes) + 1)
+        self.cells, self.full = cells, (1 << cells) - 1
+        self.r = min(r, 2 * sum(size > 1 for size in sizes) + 1)  # size-1 axes give no neighbours
         self.gap = 2 if r <= 2 else 1
         # r = 1 has no slab lemma: the box is then one slab of one row.
         self.m, self.n, self.stride = (1, 1, cells) if r == 1 else (
@@ -125,7 +118,7 @@ class _Shape:
         if isinstance(dims, GridDims):
             m, n = dims
             self.close = _closure_mask
-            self.not_bot, self.not_top = _axis_masks(n, 1, cells)
+            self.not_bot = axis_mask(n, 1, cells)
             # A flip reverses one axis; a transpose (m == n) swaps the axes' roles.
             xs = (tuple(range(0, m * n, n)), tuple(range((m - 1) * n, -1, -n)))
             ys = (tuple(range(n)), tuple(range(n - 1, -1, -1)))
@@ -136,7 +129,7 @@ class _Shape:
         else:
             self.close = _lattice_closure_mask
             side = sizes[0]
-            self.axes = [(side**k, *_axis_masks(side, side**k, cells)) for k in range(len(sizes))]
+            self.axes = [(side**k, axis_mask(side, side**k, cells)) for k in range(len(sizes))]
         self.corner = 0
         if target == "corner":
             idx = sorted(cell_indices(dims, corner_cells(dims)))
@@ -147,23 +140,9 @@ class _Shape:
 
 
 def _lattice_closure_mask(shape: _Shape, mask: int) -> int:
-    # reach[j]: the cells with at least j infected neighbours along the axes
-    # counted so far, saturating at r.  Along one axis a cell has one infected
-    # neighbour or two; two is rare on small sides, so it is skipped when empty.
     full, r = shape.full, shape.r
     while True:
-        reach = [full] + [0] * r
-        for stride, below, above in shape.axes:
-            lo, hi = (mask & above) << stride, (mask & below) >> stride
-            one, two = lo | hi, lo & hi
-            if two:
-                for j in range(r, 1, -1):
-                    reach[j] |= reach[j - 1] & one | reach[j - 2] & two
-            else:
-                for j in range(r, 1, -1):
-                    reach[j] |= reach[j - 1] & one
-            reach[1] |= one
-        grown = mask | reach[r]
+        grown = mask | counters(shape.axes, r, mask)[r]
         if grown == full or grown == mask:
             return grown
         mask = grown
@@ -171,9 +150,9 @@ def _lattice_closure_mask(shape: _Shape, mask: int) -> int:
 
 def _closure_mask(shape: _Shape, mask: int) -> int:
     # The full grid is a fixpoint too, so stop as soon as it is reached.
-    full, n, not_top, not_bot = shape.full, shape.n, shape.not_top, shape.not_bot
+    full, n, not_bot = shape.full, shape.n, shape.not_bot
     while True:
-        up = (mask & not_top) << 1
+        up = (mask << 1) & not_bot
         down = (mask & not_bot) >> 1
         right = (mask << n) & full
         left = mask >> n

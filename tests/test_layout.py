@@ -1,8 +1,9 @@
 """Module boundaries of the package: no ``minps`` module reaches into another
 module's private (underscore) names, no function writes module state through
-a ``global`` statement, no module keeps a ``functools`` cache, and points
+a ``global`` statement, no module keeps a ``functools`` cache, points
 become flat indices in bulk, through ``cell_indices``, never one at a time
-through ``cell_index``."""
+through ``cell_index``, and the flat layout's axis masks are built in
+``percolate`` alone."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,35 @@ def test_detects_cell_index_uses(tmp_path):
         "idx = percolate.cell_index(dims, p)\n"
     )
     assert _cell_index_uses(sample) == [1, 4, 5, 6]
+
+
+def _mask_builders(path: Path) -> list[str]:
+    """Functions named for axis masks, and ``int(..., 2)`` calls (a mask read
+    off a binary string), with their lines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and "axis_mask" in node.name:
+            found.append(f"def {node.name}:{node.lineno}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+              and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == 2):
+            found.append(f"int(..., 2):{node.lineno}")
+    return found
+
+
+def test_axis_masks_are_built_in_percolate_alone():
+    offenders = {p.name: _mask_builders(p) for p in sorted(SRC.glob("*.py"))}
+    assert [f.split(":")[0] for f in offenders.pop("percolate.py")].count("def axis_mask") == 1
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_mask_builders(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def _axis_masks(size, stride, cells):\n"
+        "    inner, edge = '1' * ((size - 1) * stride), '0' * stride\n"
+        "    return int((inner + edge) * (cells // (size * stride)), 2)\n"
+        "x = int('12', 10) + int(s)\n"
+    )
+    assert _mask_builders(sample) == ["def _axis_masks:1", "int(..., 2):3"]

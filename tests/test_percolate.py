@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,9 @@ from minps import (
     simple_minps,
     spans,
 )
-from minps.percolate import _close, _engine, cell_at, cell_indices, index_closure
+from minps import percolate
+from minps.percolate import _close, _engine, axis_mask, cell_at, cell_indices, index_closure
+from minps.search import _Shape
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -432,3 +435,95 @@ class TestFlatIndex:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert kept < 2**20
+
+
+# Where the closure engine hands over from bit-parallel rounds to the BFS, set
+# through its module constants: the rounds start on any seed (a round costs
+# cells and nothing more), then hand over after the first round that infects
+# a cell, or never.
+HAND_OVER = {"at-first-round": -1, "never": math.inf}
+
+
+def hand_over(mp, mode):
+    mp.setattr(percolate, "_START", 0)
+    mp.setattr(percolate, "_ROUND_COST", 0)
+    mp.setattr(percolate, "_HANDOVER", HAND_OVER[mode])
+
+
+def spiral(n):
+    """Seeds whose closure on the n x n grid is a box grown by two columns or
+    rows at a time, each seed next to the last cell the box infects, so the
+    closure takes about n**2 / 2 rounds."""
+    c = n // 2
+    x0, y0, x1, y1 = c, c, c + 1, c + 1
+    seeds = [(c, c), (c + 1, c + 1)]
+    while True:
+        for side in range(4):  # right, bottom, left, top
+            x, y = ((x1 + 2, y1), (x1, y0 - 2), (x0 - 2, y0), (x0, y1 + 2))[side]
+            if not (1 <= x <= n and 1 <= y <= n):
+                return seeds
+            seeds.append((x, y))
+            x0, y0, x1, y1 = min(x0, x), min(y0, y), max(x1, x), max(y1, y)
+
+
+class TestTwoPhaseEngine:
+    """The bit-parallel rounds, the hand-over and the BFS give one closure."""
+
+    @pytest.mark.parametrize("mode", list(HAND_OVER))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_close_matches_the_oracles(self, mode, data):
+        rnd = data.draw(st.randoms(use_true_random=False))
+        density = data.draw(st.floats(0, 1))
+        if data.draw(st.booleans()):
+            m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+            dims, rs = GridDims(m, n), [2]
+        else:
+            side, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+            dims, rs = LatticeDims(side, d), range(1, 2 * d + 2)
+        cells = [cell_at(dims, i) for i in range(dims.cells)]
+        seeds = [c for c in cells if rnd.random() < density]
+        idx = cell_indices(dims, seeds)
+        for r in rs:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(percolate, "_START", math.inf)  # the BFS alone
+                bfs = _close(*_engine(dims, r), idx)
+                hand_over(mp, mode)
+                got = _close(*_engine(dims, r), idx)
+            assert got == bfs
+            flags, count, generations = got
+            infected = set(compress(cells, flags))
+            assert count == len(infected)
+            if isinstance(dims, GridDims):
+                assert infected == naive_closure(m, n, seeds)
+                assert generations == naive_generations(m, n, seeds)
+            else:
+                assert infected == naive_lattice_closure(side, d, r, seeds)
+
+    @pytest.fixture(scope="class")
+    def spiral_oracle(self):
+        seeds = spiral(40)
+        return seeds, naive_closure(40, 40, seeds), naive_generations(40, 40, seeds)
+
+    @pytest.mark.parametrize("mode", [None, *HAND_OVER])
+    def test_a_spiral_ends_with_the_oracles_closure(self, mode, spiral_oracle, monkeypatch):
+        seeds, infected, generations = spiral_oracle
+        if mode:
+            hand_over(monkeypatch, mode)
+        cl = closure(ps(40, 40, seeds))
+        assert set(map(tuple, cl.infected.points)) == infected
+        assert cl.generations == generations > 40 * 40 // 4
+
+    def test_a_threshold_past_a_byte_on_size_one_axes(self):
+        # size-1 axes give no neighbours, so the threshold clamps to 1 here
+        ls = LatticeSet(LatticeDims(1, 130), [])
+        assert not lattice_percolates(ls, r=300)
+        assert lattice_percolates(LatticeSet(LatticeDims(1, 130), [(1,) * 130]), r=300)
+        assert _Shape(LatticeDims(1, 130), "perc", 300).r == 1
+
+    @pytest.mark.parametrize("size,stride,cells", [(1, 1, 1), (2, 1, 6), (5, 3, 30), (3, 9, 27),
+                                                   (4, 16, 64), (7, 1, 7)])
+    def test_axis_mask_marks_the_cells_with_a_neighbour_below(self, size, stride, cells):
+        mask = axis_mask(size, stride, cells)
+        assert [mask >> i & 1 for i in range(cells)] == [i // stride % size > 0 for i in range(cells)]
+        assert mask >> cells == 0
