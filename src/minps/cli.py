@@ -97,24 +97,17 @@ def _cmd_search(args) -> int:
             raise DomainError("--table requires --dims")
         _print_table(args.dims[0], args.dims[1], budget)
         return 0
-    if args.d_lattice is not None:
-        if args.target != "minperc":
-            raise DomainError("lattice search supports --target minperc only")
-        side, d = args.d_lattice
-        dims: GridDims | LatticeDims = LatticeDims(side, d)
-        result = min_percolating(dims, budget, r=args.r)
-        m, n = side, d
+    if args.d_lattice is None and args.dims is None:
+        raise DomainError("search requires --dims or --d-lattice")
+    # a lattice raises DomainError in max_minps and max_corner_avoiding
+    m, n = args.d_lattice or args.dims
+    dims = LatticeDims(m, n) if args.d_lattice else GridDims(m, n)
+    if args.target == "E":
+        result = max_minps(dims, budget)
+    elif args.target == "Ec":
+        result = max_corner_avoiding(dims, budget)
     else:
-        if args.dims is None:
-            raise DomainError("search requires --dims or --d-lattice")
-        m, n = args.dims
-        dims = GridDims(m, n)
-        if args.target == "E":
-            result = max_minps(dims, budget)
-        elif args.target == "Ec":
-            result = max_corner_avoiding(dims, budget)
-        else:
-            result = min_percolating(dims, budget, r=args.r)
+        result = min_percolating(dims, budget, r=args.r)
     print(f"target={args.target} dims={dims} value={result.value} "
           f"exhaustive={str(result.exhaustive).lower()} nodes={result.nodes} "
           f"elapsed={result.elapsed:.3f}s")
@@ -228,8 +221,7 @@ def run(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

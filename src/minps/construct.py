@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, transpose
@@ -49,6 +50,14 @@ class CertifiedSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` through ``operator.index``, or a DomainError naming ``what``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _ladder_pairs(k: int, a: int, b: int) -> set[tuple[int, int]]:
@@ -96,6 +105,7 @@ def corner_avoiding_strip(k: int) -> CertifiedSet:
     by two rows), bridged by four single points.  Deleting any point leaves
     both corner rectangles uninfected.
     """
+    k = _integer(k, "corner_avoiding_strip k")
     if k < 1:
         raise DomainError(f"corner_avoiding_strip needs k >= 1, got {k}")
     n = 3 * k + 2
@@ -161,6 +171,7 @@ def chain(x: CertifiedSet, copies: int) -> CertifiedSet:
 
 def double(x: CertifiedSet, times: int) -> CertifiedSet:
     """Glue the set to itself ``times`` rounds; size 2^t*|x| + 2(2^t - 1)."""
+    times = _integer(times, "double times")
     if times < 0:
         raise DomainError(f"double needs times >= 0, got {times}")
     if x.claim != CORNER_AVOIDING:

@@ -28,12 +28,12 @@ union of filled rectangles at pairwise taxicab distance >= 3, and
 ``closure_rects`` reads them straight off the closure's flags; it and
 ``internally_spans`` take grid sets only.
 
-This module alone owns the flat layout, its axis masks and the cell cap.
-The layout reads nothing but ``dims.sizes``, so no part of it tells grids
-from lattices.  Other modules index points with ``cell_indices``, one pass
-per axis over all the points, read a cell back with ``cell_at``, close with
-``index_closure``, or bitboards with ``axis_mask`` and ``counters``, and
-check a shape against the cap with ``check_closure``.
+This module alone owns the flat layout, its axis masks, every closure rule
+and the cell cap.  The layout reads nothing but ``dims.sizes``, so no part
+of it tells grids from lattices.  Other modules index points with
+``cell_indices``, one pass per axis over all the points, read a cell back
+with ``cell_at``, close points with ``close_points`` and bitboards with
+``board_closure``, and check a shape against the cap with ``check_closure``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, product, repeat
 from math import prod
 from operator import add, index, mul, sub
@@ -247,16 +248,48 @@ def _engine(dims: GridDims | LatticeDims, r: int) -> tuple[tuple[tuple[int, int]
     return axes, dims.cells, min(r, 2 * len(axes) + 1)
 
 
-def index_closure(
-    dims: GridDims | LatticeDims, r: int = 2
-) -> Callable[[Iterable[int]], tuple[bytearray, int]]:
-    """Return ``close(seeds) -> (flags, count)`` over flat cell indices of ``dims``.
+def close_points(dims: GridDims | LatticeDims, points: Iterable[tuple[int, ...]],
+                 r: int = 2) -> tuple[bytearray, int, int]:
+    """The closure of ``points`` under the r-neighbour rule as (flags, count,
+    generations), flags[i] being 1 iff cell i is infected.  The threshold and
+    the cell cap are checked before anything is allocated."""
+    return _close(*_engine(dims, r), cell_indices(dims, points))
 
-    The threshold and the cell cap are checked here, once, before anything
-    is allocated; ``close`` then runs the engine on each call.
-    """
-    axes, cells, start = _engine(dims, r)
-    return lambda seeds: _close(axes, cells, start, seeds)[:2]
+
+def board_closure(dims: GridDims | LatticeDims, r: int = 2) -> Callable[[int], int]:
+    """Check ``dims`` and ``r``, then return ``close(board)``, the closure of a
+    bitboard with cell i at bit i.  Under the 2-neighbour rule on at most two
+    axes of size > 1 (every grid, and [side]^2) it is a shift-and-or sweep of
+    the plane, else rounds of ``counters``.  ``close`` is a partial of a
+    module-level loop, so it pickles for the search's workers."""
+    axes, cells, r = _engine(dims, r)
+    full = (1 << cells) - 1
+    if r == 2 and len(axes) <= 2:
+        n = axes[-1][0]  # the last axis has stride 1, and the other, if any, stride n
+        return partial(_sweep, full, n, axis_mask(n, 1, cells))
+    masks = [(stride, axis_mask(size, stride, cells)) for size, stride in axes]
+    return partial(_count, full, r, masks)
+
+
+def _sweep(full: int, n: int, not_bot: int, mask: int) -> int:
+    # The full grid is a fixpoint too, so stop as soon as it is reached.
+    while True:
+        up = (mask << 1) & not_bot
+        down = (mask & not_bot) >> 1
+        right = (mask << n) & full
+        left = mask >> n
+        grown = mask | (up & down) | (left & right) | ((up | down) & (left | right))
+        if grown == full or grown == mask:
+            return grown
+        mask = grown
+
+
+def _count(full: int, r: int, masks: list[tuple[int, int]], mask: int) -> int:
+    while True:
+        grown = mask | counters(masks, r, mask)[r]
+        if grown == full or grown == mask:
+            return grown
+        mask = grown
 
 
 # --- point sets ----------------------------------------------------------------
@@ -265,7 +298,7 @@ def index_closure(
 def _closed(s: PointSet | LatticeSet, r: int) -> tuple[PointSet | LatticeSet, int]:
     """The closure of ``s`` under the r-neighbour rule, as a set of its own
     class, and its generations."""
-    flags, _, generations = _close(*_engine(s.dims, r), cell_indices(s.dims, s.points))
+    flags, _, generations = close_points(s.dims, s.points, r)
     cells = compress(product(*(range(1, k + 1) for k in s.dims.sizes)), flags)  # flat index order
     return type(s)(s.dims, cells), generations
 
@@ -284,7 +317,7 @@ def spans(x: PointSet | LatticeSet, y: PointSet | LatticeSet) -> bool:
     """True iff every point of ``y`` is eventually infected starting from ``x``."""
     if x.dims != y.dims:
         raise DomainError(f"spans needs matching dims, got {x.dims} and {y.dims}")
-    flags, _ = index_closure(x.dims)(cell_indices(x.dims, x.points))
+    flags = close_points(x.dims, x.points)[0]
     return all(map(flags.__getitem__, cell_indices(x.dims, y.points)))
 
 
@@ -296,7 +329,7 @@ def internally_spans(x: PointSet, rect: Rect) -> bool:
         raise DomainError(f"rectangle [{rect.lo}, {rect.hi}] does not fit in {dims}")
     (x0, y0), (x1, y1) = rect.lo, rect.hi
     inside = [p for p in x.points if x0 <= p.x <= x1 and y0 <= p.y <= y1]
-    flags, _ = index_closure(dims)(cell_indices(dims, inside))
+    flags = close_points(dims, inside)[0]
     return all(flags.find(0, c * dims.n + y0 - 1, c * dims.n + y1) < 0 for c in range(x0 - 1, x1))
 
 
@@ -312,7 +345,7 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
     """
     check_grid(ps.dims, "closure_rects")
     m, n = ps.dims
-    flags, count = index_closure(ps.dims)(cell_indices(ps.dims, ps.points))
+    flags, count, _ = close_points(ps.dims, ps.points)
     boxes: list[tuple[int, int, int, int]] = []  # (x0, y0, x1, y1), in lo order
     for x in range(m):
         top = (x + 1) * n
@@ -356,4 +389,4 @@ def lattice_closure(ls: LatticeSet, r: int = 2) -> LatticeSet:
 
 
 def lattice_percolates(ls: LatticeSet, r: int = 2) -> bool:
-    return index_closure(ls.dims, r)(cell_indices(ls.dims, ls.points))[1] == ls.dims.cells
+    return close_points(ls.dims, ls.points, r)[1] == ls.dims.cells

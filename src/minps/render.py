@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .grid import PointSet, check_grid
-from .percolate import cell_indices, check_closure, closure_rects, index_closure
+from .percolate import cell_indices, check_closure, close_points, closure_rects
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class RenderOptions:
 
     def __post_init__(self) -> None:
         glyphs = (self.glyph_on, self.glyph_off, self.glyph_closure)
-        if any(len(g) != 1 for g in glyphs):
+        if any(not isinstance(g, str) or len(g) != 1 for g in glyphs):
             raise DomainError("glyphs must be single characters")
         if len(set(glyphs)) != 3:
             raise DomainError("glyphs must be pairwise distinct")
@@ -33,7 +33,7 @@ def render(ps: PointSet, opts: RenderOptions | None = None) -> str:
     n = ps.dims.n
     seeds = cell_indices(ps.dims, ps.points)
     # one code per cell in flat index order: 0 off, 1 closure, 2 seed
-    codes = index_closure(ps.dims)(seeds)[0] if opts.show_closure else bytearray(ps.dims.cells)
+    codes = close_points(ps.dims, ps.points)[0] if opts.show_closure else bytearray(ps.dims.cells)
     for i in seeds:
         codes[i] = 2
     glyphs = str.maketrans("\0\1\2", opts.glyph_off + opts.glyph_closure + opts.glyph_on)

@@ -43,9 +43,9 @@ be a hit:
   visited only while a size in [lo, hi] leaves room for both.  r = 1 has no
   such lemma: the scan then sees the lattice as one slab of one row.
 
-Grid closures are the 2-neighbour shift-and-or sweep; lattice closures run
-the bit-sliced ``percolate.counters`` over ``percolate.axis_mask`` masks, as
-the closure engine's first phase does.  The tests compare both with its BFS.
+A mask is closed by ``percolate.board_closure``, built once into the shape:
+the search holds no closure rule, mask or threshold of its own.  The tests
+compare that closure with the BFS engine and with naive sweeps.
 
 Each partition (the cells of the slowest axis's first slab) gets a fixed
 share of the node budget and the whole size range, never a bound found by
@@ -69,7 +69,7 @@ from operator import index
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, check_grid
-from .percolate import axis_mask, cell_at, cell_indices, check_closure, counters
+from .percolate import board_closure, cell_at, cell_indices, check_closure
 from .verify import corner_cells, corners
 
 DEFAULT_MAX_NODES = 200_000_000
@@ -84,11 +84,11 @@ class SearchBudget:
     def __post_init__(self) -> None:
         try:
             counts = index(self.max_nodes), index(self.workers)
+            timed = self.max_time is None or self.max_time > 0  # not for NaN either
         except TypeError:
-            raise DomainError("budget max_nodes and workers must be integers") from None
-        if min(counts) < 1:
-            raise DomainError("budget fields must be positive")
-        if self.max_time is not None and not self.max_time > 0:  # NaN too
+            raise DomainError("budget max_nodes and workers must be integers, "
+                              "max_time a number") from None
+        if min(counts) < 1 or not timed:
             raise DomainError("budget fields must be positive")
 
 
@@ -107,9 +107,9 @@ class _Shape:
     slab ``gap``, the mask closure ``close`` and the grid symmetries."""
 
     def __init__(self, dims: GridDims | LatticeDims, target: str, r: int = 2):
+        self.close = board_closure(dims, r)
         sizes, cells = dims.sizes, dims.cells
-        self.cells, self.full = cells, (1 << cells) - 1
-        self.r = min(r, 2 * sum(size > 1 for size in sizes) + 1)  # size-1 axes give no neighbours
+        self.cells = cells
         self.gap = 2 if r <= 2 else 1
         # r = 1 has no slab lemma: the box is then one slab of one row.
         self.m, self.n, self.stride = (1, 1, cells) if r == 1 else (
@@ -117,8 +117,6 @@ class _Shape:
         maps = set()
         if isinstance(dims, GridDims):
             m, n = dims
-            self.close = _closure_mask
-            self.not_bot = axis_mask(n, 1, cells)
             # A flip reverses one axis; a transpose (m == n) swaps the axes' roles.
             xs = (tuple(range(0, m * n, n)), tuple(range((m - 1) * n, -1, -n)))
             ys = (tuple(range(n)), tuple(range(n - 1, -1, -1)))
@@ -126,10 +124,6 @@ class _Shape:
             if m == n:
                 maps |= {(r, c) for c in xs for r in ys}
             maps.discard((xs[0], ys[0]))  # on a thin grid some flips are the identity
-        else:
-            self.close = _lattice_closure_mask
-            side = sizes[0]
-            self.axes = [(side**k, axis_mask(side, side**k, cells)) for k in range(len(sizes))]
         self.corner = 0
         if target == "corner":
             idx = sorted(cell_indices(dims, corner_cells(dims)))
@@ -137,29 +131,6 @@ class _Shape:
             maps = {(c, r) for c, r in maps if sorted(c[i // n] + r[i % n] for i in idx) == idx}
         self.symmetries = sorted(maps)
         self.cut = target != "perc"  # test the prefix's seeds (see the module docstring)
-
-
-def _lattice_closure_mask(shape: _Shape, mask: int) -> int:
-    full, r = shape.full, shape.r
-    while True:
-        grown = mask | counters(shape.axes, r, mask)[r]
-        if grown == full or grown == mask:
-            return grown
-        mask = grown
-
-
-def _closure_mask(shape: _Shape, mask: int) -> int:
-    # The full grid is a fixpoint too, so stop as soon as it is reached.
-    full, n, not_bot = shape.full, shape.n, shape.not_bot
-    while True:
-        up = (mask << 1) & not_bot
-        down = (mask & not_bot) >> 1
-        right = (mask << n) & full
-        left = mask >> n
-        grown = mask | (up & down) | (left & right) | ((up | down) & (left | right))
-        if grown == full or grown == mask:
-            return grown
-        mask = grown
 
 
 def _is_canonical(cand: tuple[int, ...], mask: int, shape: _Shape) -> bool:
@@ -180,7 +151,8 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     hit being the first set of the largest size found."""
     (lo, hi), first, node_cap, deadline, shape = args
     m, n, stride, gap = shape.m, shape.n, shape.stride, shape.gap
-    cells, full, corner, cut, close = shape.cells, shape.full, shape.corner, shape.cut, shape.close
+    cells, corner, cut, close = shape.cells, shape.corner, shape.cut, shape.close
+    full = (1 << cells) - 1
     # The set on the path: its mask and its rows (the slabs of the fastest
     # axis).  Row y is bit y+gap of ``rows``; bits 0 and n+2*gap-1 are always
     # set, so a border run reads as an interior run gap-1 longer and a run
@@ -227,18 +199,18 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                     continue
                 cdrops = []
                 for i, d in zip(path, drops):
-                    d = close(shape, d | 1 << c)
+                    d = close(d | 1 << c)
                     if d & (1 << i | corner):
                         break
                     cdrops.append(d)
                 if len(cdrops) < k - 1:
                     continue
                 cdrops.append(closed)
-                cclosed = close(shape, closed | 1 << c)
+                cclosed = close(closed | 1 << c)
             else:
                 # One size at a time from the smallest: only a full-size set is closed.
                 cdrops = drops
-                cclosed = close(shape, cmask) if k == hi else cmask
+                cclosed = close(cmask) if k == hi else cmask
             if cclosed == full:
                 # No proper superset of a percolating set is minimal.
                 if k >= lo and _is_canonical((*path, c), cmask, shape):
@@ -356,7 +328,8 @@ def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> S
     """Exact maximum size of a corner-avoiding MinPS; value 0 with an empty
     witness when no such set exists.  Symmetry reduction uses only the
     symmetries that preserve the pair of protected corners."""
-    corners(dims)  # DomainError unless dims is a grid of at least 2x2
+    check_grid(dims, "max_corner_avoiding")
+    corners(dims)  # DomainError unless the grid is at least 2x2
     return _drive(dims, "corner", budget or SearchBudget())
 
 
@@ -377,6 +350,10 @@ def monotonicity_table(max_m: int, max_n: int,
     the bound and genuinely exceed it).  Raises DomainError when either
     limit is below 1.
     """
+    try:
+        max_m, max_n = index(max_m), index(max_n)
+    except TypeError:
+        raise DomainError(f"the table needs integer limits, got {max_m!r}, {max_n!r}") from None
     if max_m < 1 or max_n < 1:
         raise DomainError(f"the table needs max_m, max_n >= 1, got {max_m}, {max_n}")
     table: dict[tuple[int, int], int] = {}
@@ -387,9 +364,7 @@ def monotonicity_table(max_m: int, max_n: int,
                 raise EngineError(f"budget exhausted on {m}x{n}; table would be inexact")
             table[(m, n)] = res.value
     for (m, n), v in table.items():
-        if m > 1 and table[(m - 1, n)] > v:
-            raise EngineError(f"monotonicity violated at {m}x{n}")
-        if n > 1 and table[(m, n - 1)] > v:
+        if table.get((m - 1, n), 0) > v or table.get((m, n - 1), 0) > v:
             raise EngineError(f"monotonicity violated at {m}x{n}")
         if min(m, n) >= 2 and 6 * v > (m + 2) * (n + 2):
             raise EngineError(f"upper bound violated at {m}x{n}: {v}")

@@ -27,7 +27,7 @@ from operator import le
 
 from .errors import DomainError, EngineError
 from .grid import GridDims, LatticeSet, Point, PointSet, Rect, check_grid
-from .percolate import cell_indices, index_closure
+from .percolate import close_points
 
 OK = "ok"
 NOT_PERCOLATING = "not-percolating"
@@ -156,8 +156,7 @@ def _certify(s: PointSet | LatticeSet, corner_boxes) -> Verdict:
     through the merge tree, failing on one that percolates or meets a corner box."""
     dims = s.dims
     points = sorted(s.points)
-    _, count = index_closure(dims)(cell_indices(dims, points))
-    if count != dims.cells:
+    if close_points(dims, points)[1] != dims.cells:
         return Verdict(False, None, NOT_PERCOLATING)
     full = ((1,) * len(dims.sizes), dims.sizes)
     parent, children, box = _merge_tree(points)

@@ -199,3 +199,33 @@ def test_table_rejects_empty_sizes(argv, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "max_m" in captured.err
+
+
+@pytest.mark.parametrize("argv,code,text", [
+    (["construct", "--family", "simple", "--params", "m3", "n=3"], 2, "key=value"),
+    (["construct", "--family", "simple", "--params", "m=x", "n=3"], 2, "integer"),
+    (["search", "--target", "E", "--table"], 2, "--table requires --dims"),
+    (["search", "--target", "E", "--d-lattice", "2", "3"], 2, "max_minps needs a 2D grid"),
+    (["search", "--target", "Ec", "--d-lattice", "2", "3"], 2,
+     "max_corner_avoiding needs a 2D grid"),
+    (["search", "--target", "Ec", "--dims", "4", "4"], 0, "value=4"),
+    (["search", "--target", "minperc", "--dims", "3", "3"], 0, "value=3"),
+], ids=["params-no-equals", "params-not-int", "table-no-dims", "lattice-E", "lattice-Ec",
+        "grid-Ec", "grid-minperc"])
+def test_search_and_construct_branches(argv, code, text, tmp_path, capsys):
+    out = tmp_path / "a.pts"
+    if argv[0] == "construct":
+        argv = [*argv, "-o", str(out)]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("error:") and text in captured.err
+        assert not out.exists()
+    else:
+        assert text in captured.out
+
+
+def test_main_is_run():
+    import minps.cli
+
+    assert minps.cli.main is run

@@ -5,6 +5,7 @@ import pytest
 from minps import (
     CORNER_AVOIDING,
     MINPS,
+    PERCOLATING,
     CertifiedSet,
     DomainError,
     GridDims,
@@ -351,3 +352,33 @@ def test_builders_check_the_cell_cap(name, monkeypatch):
     monkeypatch.setenv("MINPS_CELL_CAP", "100")
     with pytest.raises(ResourceLimitError):
         CAPPED_BUILDS[name]()
+
+
+_STRIP = corner_avoiding_strip(1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: simple_minps(1, 3), lambda: simple_minps(3, 1),
+    lambda: dense_minps(1, 4), lambda: dense_minps(4, 1),
+    lambda: size_bounds(1, 4), lambda: size_bounds(4, 1),
+    lambda: corner_avoiding_strip(0),
+    lambda: chain(_STRIP, 0), lambda: chain(simple_minps(3, 3), 2),
+    lambda: double(_STRIP, -1), lambda: double(simple_minps(3, 3), 1),
+    lambda: glue(_STRIP, simple_minps(8, 5)),
+    lambda: strip_chain(0, 1), lambda: strip_chain(1, 0),
+    lambda: extend(simple_minps(3, 3), "z"),
+    lambda: embed_corner_avoiding(CertifiedSet(simple_minps(4, 4).points, PERCOLATING, 6)),
+], ids=["simple-m", "simple-n", "dense-m", "dense-n", "bounds-m", "bounds-n", "strip-k",
+        "chain-copies", "chain-claim", "double-times", "double-claim", "glue-second-claim",
+        "strip_chain-copies", "strip_chain-rungs", "extend-axis", "embed-claim"])
+def test_rejects_what_it_cannot_build(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_dense_falls_back_when_the_recipe_builds_fewer_points():
+    # 8x6 admits the recipe (t = 0, M = N = 1: 8 points), the L-shape has 9
+    assert dense_minps_params(8, 6) == (0, 1, 1, 8)
+    out = dense_minps(8, 6)
+    assert len(out) == len(simple_minps(8, 6)) == 9
+    assert is_minps(out.points).holds

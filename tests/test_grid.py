@@ -328,3 +328,19 @@ class TestPtsFormat:
         path = tmp_path / "x.pts"
         save_points(path, a)
         assert load_points(path) == a
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_points("dims 3 3\n1 x\n"),
+    lambda: parse_points("# a comment and nothing else\n"),
+    lambda: parse_points(""),
+    lambda: Rect((2, 1), (1, 1)),  # rewrapped as points, then found degenerate
+], ids=["coordinate", "comment-only", "empty", "rect-from-tuples"])
+def test_malformed_input_is_a_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_rect_rewraps_plain_tuples_as_points():
+    r = Rect((1, 2), (3, 4))
+    assert type(r.lo) is Point and type(r.hi) is Point and r.size == 9

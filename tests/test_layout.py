@@ -2,8 +2,9 @@
 module's private (underscore) names, no function writes module state through
 a ``global`` statement, no module keeps a ``functools`` cache, points
 become flat indices in bulk, through ``cell_indices``, never one at a time
-through ``cell_index``, and the flat layout's axis masks are built in
-``percolate`` alone."""
+through ``cell_index``, the flat layout's axis masks are built in
+``percolate`` alone, and no other module reads ``axis_mask`` or ``counters``,
+the pieces of its bitboard closures."""
 
 import ast
 from pathlib import Path
@@ -175,3 +176,36 @@ def test_detects_mask_builders(tmp_path):
         "x = int('12', 10) + int(s)\n"
     )
     assert _mask_builders(sample) == ["def _axis_masks:1", "int(..., 2):3"]
+
+
+_BOARD_PIECES = {"axis_mask", "counters"}
+
+
+def _board_piece_uses(path: Path) -> list[str]:
+    """``axis_mask`` and ``counters`` imported by name or read off a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"import {a.name}:{node.lineno}" for a in node.names if a.name in _BOARD_PIECES]
+        elif isinstance(node, ast.Attribute) and node.attr in _BOARD_PIECES:
+            found.append(f".{node.attr}:{node.lineno}")
+    return sorted(found, key=lambda f: int(f.split(":")[1]))
+
+
+def test_bitboard_closures_are_built_in_percolate_alone():
+    offenders = {p.name: _board_piece_uses(p) for p in sorted(SRC.glob("*.py"))
+                 if p.name != "percolate.py"}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_board_piece_uses(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .percolate import axis_mask, cell_at\n"
+        "from minps.percolate import counters as count\n"
+        "from . import percolate\n"
+        "reach = percolate.counters(masks, 2, board)\n"
+        "counters = board_closure(dims)\n"
+    )
+    assert _board_piece_uses(sample) == ["import axis_mask:1", "import counters:2", ".counters:4"]

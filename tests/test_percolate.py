@@ -33,8 +33,8 @@ from minps import (
     spans,
 )
 from minps import percolate
-from minps.percolate import _close, _engine, axis_mask, cell_at, cell_indices, index_closure
-from minps.search import _Shape
+from minps.percolate import (_close, _engine, axis_mask, board_closure, cell_at, cell_indices,
+                             close_points)
 
 from oracles import naive_closure, naive_generations, naive_lattice_closure
 
@@ -200,8 +200,8 @@ class TestClosureRects:
         for i in cell_indices(dims, infected):
             flags[i] = 1
         monkeypatch.setattr(
-            "minps.percolate.index_closure",
-            lambda dims, r=2: lambda seeds: (flags, len(infected)),
+            "minps.percolate.close_points",
+            lambda dims, points, r=2: (flags, len(infected), 0),
         )
         with pytest.raises(EngineError):
             closure_rects(ps(6, 6, infected))
@@ -398,7 +398,7 @@ class TestFlatIndex:
 
     def test_grid_rejects_other_thresholds(self):
         with pytest.raises(DomainError):
-            index_closure(GridDims(3, 3), r=3)
+            close_points(GridDims(3, 3), [], r=3)
 
     def test_cell_cap_covers_grids_before_allocating(self, monkeypatch):
         from minps import is_corner_avoiding_minps, is_minps
@@ -519,7 +519,7 @@ class TestTwoPhaseEngine:
         ls = LatticeSet(LatticeDims(1, 130), [])
         assert not lattice_percolates(ls, r=300)
         assert lattice_percolates(LatticeSet(LatticeDims(1, 130), [(1,) * 130]), r=300)
-        assert _Shape(LatticeDims(1, 130), "perc", 300).r == 1
+        assert _engine(LatticeDims(1, 130), 300)[2] == 1
 
     @pytest.mark.parametrize("size,stride,cells", [(1, 1, 1), (2, 1, 6), (5, 3, 30), (3, 9, 27),
                                                    (4, 16, 64), (7, 1, 7)])
@@ -527,3 +527,54 @@ class TestTwoPhaseEngine:
         mask = axis_mask(size, stride, cells)
         assert [mask >> i & 1 for i in range(cells)] == [i // stride % size > 0 for i in range(cells)]
         assert mask >> cells == 0
+
+
+class TestBoardClosure:
+    """``board_closure`` (cell i at bit i) against the naive sweeps: the plane
+    sweep on grids, thin ones included, and on [side]^2 at r = 2, the
+    counter rounds on every other lattice and threshold."""
+
+    @staticmethod
+    def check(dims, r, seed, want):
+        rng = random.Random(seed)
+        cells = [cell_at(dims, i) for i in range(dims.cells)]
+        close = board_closure(dims, r)
+        for _ in range(12):
+            density = rng.random()
+            board = sum(1 << i for i in range(dims.cells) if rng.random() < density)
+            closed = close(board)
+            assert closed >> dims.cells == 0
+            got = {c for i, c in enumerate(cells) if closed >> i & 1}
+            assert got == want([c for i, c in enumerate(cells) if board >> i & 1])
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 8) for n in range(1, 8)])
+    def test_grids_match_the_naive_sweep(self, m, n):
+        self.check(GridDims(m, n), 2, 10 * m + n, lambda seeds: naive_closure(m, n, seeds))
+
+    @pytest.mark.parametrize("side,d", [(side, d) for side in range(1, 5) for d in range(1, 5)])
+    def test_lattices_match_the_naive_sweep(self, side, d):
+        for r in range(1, 2 * d + 2):
+            self.check(LatticeDims(side, d), r, 100 * side + 10 * d + r,
+                       lambda seeds: naive_lattice_closure(side, d, r, seeds))
+
+    def test_checks_the_threshold_and_the_cap(self, monkeypatch):
+        with pytest.raises(DomainError):
+            board_closure(GridDims(3, 3), 3)
+        with pytest.raises(DomainError):
+            board_closure(LatticeDims(3, 3), 0)
+        monkeypatch.setenv("MINPS_CELL_CAP", "8")
+        with pytest.raises(ResourceLimitError):
+            board_closure(GridDims(3, 3))
+
+
+@pytest.mark.parametrize("cap,call", [
+    ("ten", lambda: percolates(ps(3, 3, []))),
+    ("1e6", lambda: closure(ps(3, 3, []))),
+    (None, lambda: internally_spans(ps(3, 3, []), Rect(Point(2, 2), Point(4, 3)))),
+    (None, lambda: internally_spans(ps(3, 3, []), Rect(Point(1, 1), Point(3, 4)))),
+], ids=["cap-word", "cap-float", "rect-past-x", "rect-past-y"])
+def test_malformed_input_is_a_domain_error(cap, call, monkeypatch):
+    if cap is not None:
+        monkeypatch.setenv("MINPS_CELL_CAP", cap)
+    with pytest.raises(DomainError):
+        call()

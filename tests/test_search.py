@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 import random
 import time
 import tracemalloc
@@ -397,11 +398,11 @@ class TestMaskEngineAgreement:
 
         from minps import closure
         from minps.grid import PointSet
-        from minps.search import _closure_mask, _Shape
+        from minps.search import _Shape
 
         rng = random.Random(31)
         for m, n in [(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]:
-            t = _Shape(GridDims(m, n), "minps")
+            t, full = _Shape(GridDims(m, n), "minps"), (1 << m * n) - 1
             for _ in range(300):
                 mask = rng.getrandbits(m * n)
                 pts = frozenset(
@@ -411,15 +412,15 @@ class TestMaskEngineAgreement:
                 want = 0
                 for p in infected.points:
                     want |= 1 << ((p.x - 1) * n + (p.y - 1))
-                assert _closure_mask(t, mask) == want
-                assert (_closure_mask(t, mask) == t.full) == (want == t.full)
+                assert t.close(mask) == want
+                assert (t.close(mask) == full) == (want == full)
 
     @settings(max_examples=300)
     @given(data=st.data())
     def test_closing_a_closure_with_more_cells(self, data):
         # cl(cl(A) | B) == cl(A | B): the grid search grows each closure on
         # its path from its parent's instead of from the raw seeds
-        from minps.search import _closure_mask, _Shape
+        from minps.search import _Shape
 
         m = data.draw(st.integers(1, 7))
         n = data.draw(st.sampled_from([1, m, data.draw(st.integers(1, 7))]))
@@ -429,24 +430,24 @@ class TestMaskEngineAgreement:
         # at once, dense enough that cl(A) mostly grows
         cells = st.sets(st.integers(0, m * n - 1), min_size=m * n // 5, max_size=m * n // 3 + 1)
         a, b = (sum(1 << i for i in data.draw(cells)) for _ in range(2))
-        assert _closure_mask(t, _closure_mask(t, a) | b) == _closure_mask(t, a | b)
+        assert t.close(t.close(a) | b) == t.close(a | b)
 
     @settings(max_examples=300)
     @given(data=st.data())
     def test_empty_lines_stay_empty(self, data):
         # The grid search prunes on this: a row or column without seeds stays
         # empty when it is on the border or next to another empty line.
-        from minps.search import _closure_mask, _Shape
+        from minps.search import _Shape
 
         m, n = data.draw(st.sampled_from([(1, 1), (1, 8), (8, 1), (2, 7), (5, 5), (6, 4), (3, 9)]))
-        t = _Shape(GridDims(m, n), "minps")
+        t, full = _Shape(GridDims(m, n), "minps"), (1 << m * n) - 1
         columns = [((1 << n) - 1) << (x * n) for x in range(m)]
         rows = [sum(1 << (x * n + y) for x in range(m)) for y in range(n)]
-        mask = data.draw(st.integers(0, t.full))
+        mask = data.draw(st.integers(0, full))
         for lines in (columns, rows):
             for i in data.draw(st.sets(st.integers(0, len(lines) - 1))):
                 mask &= ~lines[i]
-        closed = _closure_mask(t, mask)
+        closed = t.close(mask)
         for lines in (columns, rows):
             empty = [not mask & line for line in lines]
             for i, line in enumerate(lines):
@@ -487,7 +488,7 @@ class TestMaskEngineAgreement:
             for _ in range(60):
                 density = rng.random()
                 seeds = [i for i in range(dims.cells) if rng.random() < density]
-                got = shape.close(shape, sum(1 << i for i in seeds))
+                got = shape.close(sum(1 << i for i in seeds))
                 want = naive_lattice_closure(side, d, r, [cell_at(dims, i) for i in seeds])
                 assert {cell_at(dims, i) for i in range(dims.cells) if got >> i & 1} == want
 
@@ -500,17 +501,17 @@ class TestMaskEngineAgreement:
         # are minimal percolating sets (cells of the full grid deleted in a
         # drawn order while it still percolates), so a cut that fires too
         # often fails here; on P = S the cut must be exact.
-        from minps.search import _closure_mask, _Shape
+        from minps.search import _Shape
 
         m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        t = _Shape(GridDims(m, n), "minps")
+        t, full = _Shape(GridDims(m, n), "minps"), (1 << m * n) - 1
         if data.draw(st.booleans()):
-            s = t.full
+            s = full
             for i in data.draw(st.permutations(range(m * n))):
-                if _closure_mask(t, s ^ 1 << i) == t.full:
+                if t.close(s ^ 1 << i) == full:
                     s ^= 1 << i
         else:
-            s = data.draw(st.integers(1, t.full))
+            s = data.draw(st.integers(1, full))
         seeds = [i for i in range(m * n) if s >> i & 1]
         part = data.draw(st.sets(st.sampled_from(seeds), min_size=1))
         p = sum(1 << i for i in part)
@@ -518,10 +519,10 @@ class TestMaskEngineAgreement:
         pts = [(i // n + 1, i % n + 1) for i in seeds]
         for corner in (0, _Shape(GridDims(m, n), "corner").corner) if min(m, n) >= 2 else (0,):
             holds = naive_certify(m, n, pts, corner=bool(corner))[0]
-            if _closure_mask(t, p ^ v) & (v | corner):
+            if t.close(p ^ v) & (v | corner):
                 assert not holds
-            if _closure_mask(t, s) == t.full:
-                cut = any(_closure_mask(t, s ^ 1 << i) & (1 << i | corner) for i in seeds)
+            if t.close(s) == full:
+                cut = any(t.close(s ^ 1 << i) & (1 << i | corner) for i in seeds)
                 assert holds == (not cut)
 
     @settings(max_examples=300)
@@ -530,7 +531,7 @@ class TestMaskEngineAgreement:
         # the search's mask sweep, the BFS closure with its rectangles, and
         # the merge-tree verifiers, on one set, against the naive oracle
         from minps import closure, closure_rects
-        from minps.search import _closure_mask, _Shape
+        from minps.search import _Shape
 
         m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
         pts = data.draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
@@ -538,7 +539,7 @@ class TestMaskEngineAgreement:
         infected = closure(s).infected
         mask = sum(1 << ((x - 1) * n + (y - 1)) for x, y in pts)
         want = sum(1 << ((p.x - 1) * n + (p.y - 1)) for p in infected.points)
-        assert _closure_mask(_Shape(GridDims(m, n), "minps"), mask) == want
+        assert _Shape(GridDims(m, n), "minps").close(mask) == want
         assert {c for r in closure_rects(s).rects for c in r.cells()} == infected.points
         verdict = is_minps(s)
         assert (verdict.holds, verdict.witness, verdict.detail) == naive_certify(m, n, pts)
@@ -604,3 +605,30 @@ class TestMonotonicityTable:
     def test_rejects_empty_sizes(self, max_m, max_n):
         with pytest.raises(DomainError):
             monotonicity_table(max_m, max_n)
+
+
+@pytest.mark.parametrize("dims,target,r", [(GridDims(5, 4), "corner", 2), (GridDims(1, 9), "minps", 2),
+                                           (GridDims(7, 1), "perc", 2), (LatticeDims(3, 3), "perc", 3),
+                                           (LatticeDims(4, 2), "perc", 2)])
+def test_shapes_pickle_with_their_closure(dims, target, r):
+    # Workers get the shape pickled: its copy must close every mask the same.
+    from minps.search import _Shape
+
+    shape = _Shape(dims, target, r)
+    copy = pickle.loads(pickle.dumps(shape))
+    assert {k: v for k, v in vars(copy).items() if k != "close"} == {
+        k: v for k, v in vars(shape).items() if k != "close"}
+    rng = random.Random(dims.cells)
+    for _ in range(300):
+        mask = rng.getrandbits(dims.cells)
+        assert copy.close(mask) == shape.close(mask)
+
+
+@pytest.mark.parametrize("dims,ints", [(GridDims(300, 300), 2), (LatticeDims(40, 3), 4)])
+def test_a_pickled_shape_holds_each_board_constant_once(dims, ints):
+    # A grid's closure holds the full board and one axis mask, a cube's the
+    # full board and three; nothing else in the shape is as large.
+    from minps.search import _Shape
+
+    size = len(pickle.dumps(_Shape(dims, "perc")))
+    assert ints * dims.cells // 8 < size < (ints + 0.5) * dims.cells // 8

@@ -234,13 +234,13 @@ class TestMergeTreeIndex:
 
 
 def test_engine_error_when_the_tree_disagrees_with_the_closure(monkeypatch):
-    real = minps.verify.index_closure
+    real = minps.verify.close_points
 
-    def full_count(dims, r=2):
-        close = real(dims, r)
-        return lambda seeds: (close(seeds)[0], dims.cells)
+    def full_count(dims, points, r=2):
+        flags, _, generations = real(dims, points, r)
+        return flags, dims.cells, generations
 
-    monkeypatch.setattr(minps.verify, "index_closure", full_count)
+    monkeypatch.setattr(minps.verify, "close_points", full_count)
     with pytest.raises(EngineError):
         is_minps(ps(3, 3, [(2, 2)]))
     with pytest.raises(EngineError):
