@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
-from .errors import DomainError, EngineError
+from .errors import DomainError, EngineError, integer
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, transpose
 from .percolate import cell_cap, check_closure, percolates
 from .verify import is_minps
@@ -52,14 +51,6 @@ class CertifiedSet:
         return len(self.points)
 
 
-def _integer(value, what: str) -> int:
-    """``value`` through ``operator.index``, or a DomainError naming ``what``."""
-    try:
-        return index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _ladder_pairs(k: int, a: int, b: int) -> set[tuple[int, int]]:
     return {(a, b + 3 * i + dy) for i in range(k) for dy in (0, 2)}
 
@@ -71,8 +62,7 @@ def ladder(k: int, a: int = 1, b: int = 1, dims: GridDims | None = None) -> Poin
     between it, and consecutive filled runs touch, so the closure is exactly
     [(a, b), (a, b + 3k - 1)].
     """
-    if k < 1:
-        raise DomainError(f"ladder needs k >= 1, got {k}")
+    k = integer(k, "ladder k", 1)
     extent = GridDims(a, b + 3 * k - 1)
     check_closure(extent)  # an explicit ``dims`` holds the ladder, so is no smaller
     return PointSet(extent if dims is None else dims, frozenset(_ladder_pairs(k, a, b)))
@@ -90,8 +80,7 @@ def _thin_line(m: int) -> list[int]:
 
 def simple_minps(m: int, n: int) -> CertifiedSet:
     """The easy L-shaped minimal percolating set of size about 2(m+n)/3."""
-    if m < 2 or n < 2:
-        raise DomainError(f"simple_minps needs m, n >= 2, got {m}x{n}")
+    m, n = integer(m, "simple_minps m", 2), integer(n, "simple_minps n", 2)
     check_closure(GridDims(m, n))
     pts = {(x, 1) for x in _thin_line(m)} | {(1, y) for y in _thin_line(n)}
     ps = PointSet(GridDims(m, n), frozenset(pts))
@@ -105,9 +94,7 @@ def corner_avoiding_strip(k: int) -> CertifiedSet:
     by two rows), bridged by four single points.  Deleting any point leaves
     both corner rectangles uninfected.
     """
-    k = _integer(k, "corner_avoiding_strip k")
-    if k < 1:
-        raise DomainError(f"corner_avoiding_strip needs k >= 1, got {k}")
+    k = integer(k, "corner_avoiding_strip k", 1)
     n = 3 * k + 2
     check_closure(GridDims(8, n))
     pts = _ladder_pairs(k, 1, 1)
@@ -154,8 +141,7 @@ def chain(x: CertifiedSet, copies: int) -> CertifiedSet:
     The result lives on (k*m + 3(k-1)) x (n + 2(k-1)) and has size
     k*|x| + 2(k-1): each of the k-1 glue steps adds its two connectors.
     """
-    if copies < 1:
-        raise DomainError(f"chain needs copies >= 1, got {copies}")
+    copies = integer(copies, "chain copies", 1)
     if x.claim != CORNER_AVOIDING:
         raise DomainError("chain: input is not certified corner-avoiding")
     m, n = x.dims
@@ -171,9 +157,7 @@ def chain(x: CertifiedSet, copies: int) -> CertifiedSet:
 
 def double(x: CertifiedSet, times: int) -> CertifiedSet:
     """Glue the set to itself ``times`` rounds; size 2^t*|x| + 2(2^t - 1)."""
-    times = _integer(times, "double times")
-    if times < 0:
-        raise DomainError(f"double needs times >= 0, got {times}")
+    times = integer(times, "double times", 0)
     if x.claim != CORNER_AVOIDING:
         raise DomainError("double: input is not certified corner-avoiding")
     m, n = x.dims
@@ -195,8 +179,7 @@ def strip_chain(copies: int, rungs: int) -> CertifiedSet:
     Lives on (11*copies - 3) x (3*rungs + 2*copies); size
     4*copies*(rungs + 1) + 2*(copies - 1).
     """
-    if copies < 1 or rungs < 1:
-        raise DomainError(f"strip_chain needs copies, rungs >= 1, got {copies}, {rungs}")
+    copies, rungs = integer(copies, "strip_chain copies", 1), integer(rungs, "strip_chain rungs", 1)
     want = GridDims(11 * copies - 3, 3 * rungs + 2 * copies)
     check_closure(want)
     out = chain(corner_avoiding_strip(rungs), copies)
@@ -251,6 +234,7 @@ def dense_minps_params(m: int, n: int) -> tuple[int, int, int, int] | None:
     Returns the choice maximizing the exact built size (connectors included),
     or None when no t admits M, N >= 1.
     """
+    m, n = integer(m, "dense_minps_params m"), integer(n, "dense_minps_params n")
     best = None
     t = 0
     while True:
@@ -274,8 +258,7 @@ def dense_minps(m: int, n: int) -> CertifiedSet:
     2^(t+2)*M*(N+1), while the built set is slightly larger.  When the
     recipe is degenerate (small grids) it falls back to simple_minps.
     """
-    if m < 2 or n < 2:
-        raise DomainError(f"dense_minps needs m, n >= 2, got {m}x{n}")
+    m, n = integer(m, "dense_minps m", 2), integer(n, "dense_minps n", 2)
     check_closure(GridDims(m, n))
     simple = simple_minps(m, n)
     params = dense_minps_params(m, n)
@@ -328,6 +311,7 @@ def corner_avoiding_square(side: int) -> CertifiedSet:
     Available for side 8 (a strip with two rungs is exactly 8 x 8) and for
     side >= 18 (embed the densest MinPS of the (side-16) x (side-8) grid).
     """
+    side = integer(side, "corner_avoiding_square side")
     if side == 8:
         return corner_avoiding_strip(2)
     if side >= 18:
@@ -384,8 +368,7 @@ def size_bounds(m: int, n: int) -> tuple[int, Fraction]:
     The lower bound is the exact size of the densest set this package
     builds; the upper bound is (m+2)(n+2)/6, valid for min(m, n) >= 2.
     """
-    if m < 2 or n < 2:
-        raise DomainError(f"size_bounds needs m, n >= 2, got {m}x{n}")
+    m, n = integer(m, "size_bounds m", 2), integer(n, "size_bounds n", 2)
     lower = len(dense_minps(m, n))
     upper = Fraction((m + 2) * (n + 2), 6)
     return lower, upper

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from math import prod
-from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BoundsError, DomainError
+from .errors import BoundsError, DomainError, integer
 
 
 class Point(NamedTuple):
@@ -38,17 +37,11 @@ _POINT = partial(tuple.__new__, Point)  # Point(x, y) from (x, y), without a Pyt
 
 class _Box:
     """Cell count and membership, read off the axis sizes ``sizes``.  Every
-    field is a positive integer, stored as an ``int`` (``operator.index``)."""
+    field is a positive integer, stored as an ``int`` (``errors.integer``)."""
 
     def __post_init__(self) -> None:
-        fields = vars(self)  # the dataclass fields, in order
-        try:
-            values = list(map(index, fields.values()))
-        except TypeError:
-            raise DomainError(f"{self._noun} dims must be integers, got {self!r}") from None
-        if min(values) < 1:
-            raise DomainError(f"{self._noun} dims must be positive, got {self}")
-        fields.update(zip(list(fields), values))  # frozen: past __setattr__
+        fields = vars(self)  # the dataclass fields; frozen: past __setattr__
+        fields.update({k: integer(v, f"{self._noun} dims {k}", 1) for k, v in fields.items()})
 
     @property
     def cells(self) -> int:
@@ -111,8 +104,8 @@ class Rect:
 
     def __post_init__(self) -> None:
         if type(self.lo) is not Point or type(self.hi) is not Point:
-            object.__setattr__(self, "lo", Point(*self.lo))
-            object.__setattr__(self, "hi", Point(*self.hi))
+            object.__setattr__(self, "lo", Point(*(integer(c, "rect corner") for c in self.lo)))
+            object.__setattr__(self, "hi", Point(*(integer(c, "rect corner") for c in self.hi)))
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y:
             raise DomainError(f"degenerate rectangle [{self.lo}, {self.hi}]")
 
@@ -149,6 +142,7 @@ class Rect:
 
 def _indexed(points, d: int, dims: GridDims | LatticeDims) -> list[tuple[int, ...]]:
     """Each point through ``operator.index``: DomainError names the first bad point."""
+    from operator import index  # not ``integer``: the error names the whole point
     pts = []
     for p in points:
         try:
@@ -215,6 +209,7 @@ def translate(ps: PointSet, k: int, l: int, target: GridDims | None = None) -> P
     Raises BoundsError naming the least point whose image does not fit.
     """
     dims = target if target is not None else ps.dims
+    k, l = integer(k, "translate k"), integer(l, "translate l")
     return _moved(ps, dims, [(x + k, y + l) for x, y in ps.points], f"translate by ({k},{l}) moves")
 
 

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress, product, repeat
 from math import prod
-from operator import add, index, mul, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
-from .errors import DomainError, EngineError, ResourceLimitError
+from .errors import DomainError, EngineError, ResourceLimitError, integer
 from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect, check_grid
 
 DEFAULT_CELL_CAP = 10_000_000
@@ -96,12 +96,7 @@ def cell_cap() -> int:
 def check_closure(dims: GridDims | LatticeDims, r: int = 2) -> None:
     """Raise DomainError for a threshold ``dims`` does not support, and
     ResourceLimitError when ``dims`` has more cells than the cap."""
-    try:
-        r = index(r)
-    except TypeError:
-        raise DomainError(f"threshold must be an integer, got {r!r}") from None
-    if r < 1:
-        raise DomainError(f"threshold must be >= 1, got {r}")
+    r = integer(r, "threshold", 1)
     if isinstance(dims, GridDims) and r != 2:
         raise DomainError(f"grids use the 2-neighbour rule only, got threshold {r}")
     cap = cell_cap()

@@ -65,11 +65,11 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from operator import index
+from numbers import Real
 
-from .errors import DomainError, EngineError
+from .errors import DomainError, EngineError, ResourceLimitError, integer
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, check_grid
-from .percolate import board_closure, cell_at, cell_indices, check_closure
+from .percolate import board_closure, cell_at, cell_indices
 from .verify import corner_cells, corners
 
 DEFAULT_MAX_NODES = 200_000_000
@@ -82,14 +82,10 @@ class SearchBudget:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        try:
-            counts = index(self.max_nodes), index(self.workers)
-            timed = self.max_time is None or self.max_time > 0  # not for NaN either
-        except TypeError:
-            raise DomainError("budget max_nodes and workers must be integers, "
-                              "max_time a number") from None
-        if min(counts) < 1 or not timed:
-            raise DomainError("budget fields must be positive")
+        integer(self.max_nodes, "budget max_nodes", 1)
+        integer(self.workers, "budget workers", 1)
+        if not (self.max_time is None or isinstance(self.max_time, Real) and self.max_time > 0):
+            raise DomainError(f"budget max_time must be a positive number, got {self.max_time!r}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             last -= 1
 
 
-def _run_block(shape, sizes, node_cap, deadline, pool):
+def _run_block(shape, sizes, node_cap, deadline, pool, workers):
     """Scan the partitions of the sizes ``sizes`` = (lo, hi) in first-cell
     order and return the largest hit, the earliest partition's on a tie; stop
     at the first hit of size hi.  Partition budgets are fixed shares of
@@ -251,8 +247,9 @@ def _run_block(shape, sizes, node_cap, deadline, pool):
     base_cap, extra = divmod(node_cap, parts)
     arglist = [(sizes, first, base_cap + (first < extra), deadline, shape)
                for first in range(parts)]
-    results = (pool.imap(_scan_partition, arglist) if pool is not None and parts > 1
-               else map(_scan_partition, arglist))
+    # A chunk of partitions pickles one copy of the shape, not one per partition.
+    results = (pool.imap(_scan_partition, arglist, max(1, parts // (4 * workers)))
+               if pool is not None and parts > 1 else map(_scan_partition, arglist))
     best = None
     nodes = 0
     truncated = False
@@ -277,9 +274,8 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
     one has a hit.  The result is ``exhaustive`` when no partition that was
     scanned ran out of nodes or time: the ranges before the last were then
     covered in full, and the last up to its deciding hit, which settles the
-    value and the lexicographically least witness.  The threshold and the
-    cell cap are checked before the shape or any partition list is built."""
-    check_closure(dims, r)
+    value and the lexicographically least witness.  The shape's
+    ``board_closure`` checks the threshold and the cell cap first of all."""
     shape = _Shape(dims, target, r)
     m, gap, cells = shape.m, shape.gap, shape.cells
     ranges = ([(1, cells)] if shape.cut
@@ -297,7 +293,7 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
                 truncated = True
                 break
-            h, nodes, trunc = _run_block(shape, sizes, remaining, deadline, pool)
+            h, nodes, trunc = _run_block(shape, sizes, remaining, deadline, pool, workers)
             total_nodes += nodes
             truncated = truncated or trunc
             if h is not None:
@@ -348,20 +344,16 @@ def monotonicity_table(max_m: int, max_n: int,
     entry with min(m, n) >= 2 respects the (m+2)(n+2)/6 upper bound; raises
     EngineError on any violation (1-row and 1-column grids are exempt from
     the bound and genuinely exceed it).  Raises DomainError when either
-    limit is below 1.
+    limit is no integer or is below 1, and ResourceLimitError when the
+    budget runs out on some grid, as the table would then be inexact.
     """
-    try:
-        max_m, max_n = index(max_m), index(max_n)
-    except TypeError:
-        raise DomainError(f"the table needs integer limits, got {max_m!r}, {max_n!r}") from None
-    if max_m < 1 or max_n < 1:
-        raise DomainError(f"the table needs max_m, max_n >= 1, got {max_m}, {max_n}")
+    max_m, max_n = integer(max_m, "table max_m", 1), integer(max_n, "table max_n", 1)
     table: dict[tuple[int, int], int] = {}
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
             res = max_minps(GridDims(m, n), budget)
             if not res.exhaustive:
-                raise EngineError(f"budget exhausted on {m}x{n}; table would be inexact")
+                raise ResourceLimitError(f"budget exhausted on {m}x{n}; table would be inexact")
             table[(m, n)] = res.value
     for (m, n), v in table.items():
         if table.get((m - 1, n), 0) > v or table.get((m, n - 1), 0) > v:

@@ -210,8 +210,10 @@ def test_table_rejects_empty_sizes(argv, capsys):
      "max_corner_avoiding needs a 2D grid"),
     (["search", "--target", "Ec", "--dims", "4", "4"], 0, "value=4"),
     (["search", "--target", "minperc", "--dims", "3", "3"], 0, "value=3"),
+    (["search", "--target", "E", "--table", "--dims", "4", "4", "--max-nodes", "10"], 2,
+     "budget exhausted on 1x4"),
 ], ids=["params-no-equals", "params-not-int", "table-no-dims", "lattice-E", "lattice-Ec",
-        "grid-Ec", "grid-minperc"])
+        "grid-Ec", "grid-minperc", "table-budget"])
 def test_search_and_construct_branches(argv, code, text, tmp_path, capsys):
     out = tmp_path / "a.pts"
     if argv[0] == "construct":

@@ -3,8 +3,9 @@ module's private (underscore) names, no function writes module state through
 a ``global`` statement, no module keeps a ``functools`` cache, points
 become flat indices in bulk, through ``cell_indices``, never one at a time
 through ``cell_index``, the flat layout's axis masks are built in
-``percolate`` alone, and no other module reads ``axis_mask`` or ``counters``,
-the pieces of its bitboard closures."""
+``percolate`` alone, no other module reads ``axis_mask`` or ``counters``,
+the pieces of its bitboard closures, and ``operator.index`` is read only by
+``errors.integer`` and ``grid._indexed``, the per-point fallback."""
 
 import ast
 from pathlib import Path
@@ -209,3 +210,47 @@ def test_detects_board_piece_uses(tmp_path):
         "counters = board_closure(dims)\n"
     )
     assert _board_piece_uses(sample) == ["import axis_mask:1", "import counters:2", ".counters:4"]
+
+
+def _index_uses(path: Path) -> list[str]:
+    """Imports and reads of ``operator.index``, as ``<function>:<line>``
+    (``<module>`` outside every function)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "operator"}
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.module == "operator":
+                found.extend(f"{where}:{child.lineno}" for a in child.names if a.name == "index")
+            elif (isinstance(child, ast.Attribute) and child.attr == "index"
+                  and isinstance(child.value, ast.Name) and child.value.id in modules):
+                found.append(f"{where}:{child.lineno}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_integers_are_checked_in_errors_alone():
+    offenders = {p.name: _index_uses(p) for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"}
+    offenders["grid.py"] = [f for f in offenders["grid.py"] if not f.startswith("_indexed:")]
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_index_uses(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from operator import add, index\n"
+        "import operator\n"
+        "import operator as op\n"
+        "def f(x):\n"
+        "    from operator import index as ix\n"
+        "    return operator.index(x) + op.index(x)\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return self.index(1) + 'ab'.index('a') + add(1, 2)\n"
+    )
+    assert _index_uses(sample) == ["<module>:1", "f:5", "f:6", "f:6"]

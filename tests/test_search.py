@@ -278,14 +278,16 @@ class TestMinPercolating:
             min_percolating(GridDims(3, 3), r=3)
 
     def test_cell_cap_checked_before_search_tables(self, monkeypatch):
-        import minps.search
+        # The shape's first act is its board closure, which checks the cap
+        # before it builds any mask of the board's size.
+        import minps.percolate
         from minps import ResourceLimitError
 
         def build(*args):
-            raise AssertionError("shape built before the cell cap was checked")
+            raise AssertionError("board mask built before the cell cap was checked")
 
         monkeypatch.setenv("MINPS_CELL_CAP", "10")
-        monkeypatch.setattr(minps.search, "_Shape", build)
+        monkeypatch.setattr(minps.percolate, "axis_mask", build)
         calls = [
             lambda: max_minps(GridDims(4, 4)), lambda: max_corner_avoiding(GridDims(4, 3)),
             lambda: min_percolating(GridDims(4, 4)), lambda: min_percolating(LatticeDims(3, 3)),
@@ -363,7 +365,7 @@ class TestSearchKeepsNoState:
             def __init__(self, processes):
                 sizes.append(processes)
 
-            def imap(self, func, iterable):
+            def imap(self, func, iterable, chunksize=1):
                 return map(func, iterable)
 
             def terminate(self):
