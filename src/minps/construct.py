@@ -80,7 +80,8 @@ def _thin_line(m: int) -> list[int]:
 
 def simple_minps(m: int, n: int) -> CertifiedSet:
     """The easy L-shaped minimal percolating set of size about 2(m+n)/3."""
-    m, n = integer(m, "simple_minps m", 2), integer(n, "simple_minps n", 2)
+    m = integer(m, "simple_minps m", 2)
+    n = integer(n, "simple_minps n", 2)
     check_closure(GridDims(m, n))
     pts = {(x, 1) for x in _thin_line(m)} | {(1, y) for y in _thin_line(n)}
     ps = PointSet(GridDims(m, n), frozenset(pts))
@@ -179,13 +180,9 @@ def strip_chain(copies: int, rungs: int) -> CertifiedSet:
     Lives on (11*copies - 3) x (3*rungs + 2*copies); size
     4*copies*(rungs + 1) + 2*(copies - 1).
     """
-    copies, rungs = integer(copies, "strip_chain copies", 1), integer(rungs, "strip_chain rungs", 1)
-    want = GridDims(11 * copies - 3, 3 * rungs + 2 * copies)
-    check_closure(want)
-    out = chain(corner_avoiding_strip(rungs), copies)
-    if out.dims != want:
-        raise EngineError(f"strip_chain dims {out.dims} != {want}")
-    return out
+    copies = integer(copies, "strip_chain copies", 1)
+    rungs = integer(rungs, "strip_chain rungs", 1)
+    return chain(corner_avoiding_strip(rungs), copies)  # each checks its dims
 
 
 def extend(a: CertifiedSet, axis: str = "x") -> CertifiedSet:
@@ -234,7 +231,8 @@ def dense_minps_params(m: int, n: int) -> tuple[int, int, int, int] | None:
     Returns the choice maximizing the exact built size (connectors included),
     or None when no t admits M, N >= 1.
     """
-    m, n = integer(m, "dense_minps_params m"), integer(n, "dense_minps_params n")
+    m = integer(m, "dense_minps_params m")
+    n = integer(n, "dense_minps_params n")
     best = None
     t = 0
     while True:
@@ -258,9 +256,9 @@ def dense_minps(m: int, n: int) -> CertifiedSet:
     2^(t+2)*M*(N+1), while the built set is slightly larger.  When the
     recipe is degenerate (small grids) it falls back to simple_minps.
     """
-    m, n = integer(m, "dense_minps m", 2), integer(n, "dense_minps n", 2)
-    check_closure(GridDims(m, n))
-    simple = simple_minps(m, n)
+    m = integer(m, "dense_minps m", 2)
+    n = integer(n, "dense_minps n", 2)
+    simple = simple_minps(m, n)  # checks the grid against the cap
     params = dense_minps_params(m, n)
     if params is None:
         return simple
@@ -346,11 +344,8 @@ def lattice_minps(n: int, d: int) -> CertifiedSet:
     check_closure(LatticeDims(n, 3))
     square = corner_avoiding_square(n)
     pts: set[tuple[int, int, int]] = {(p.x, p.y, 1) for p in square.points.points}
-    step = 0
-    for z in range(3, n + 1, 2):
-        step += 1
-        corner = (1, n) if step % 2 == 1 else (n, 1)
-        pts.add((corner[0], corner[1], z))
+    for step, z in enumerate(range(3, n + 1, 2)):
+        pts.add((1, n, z) if step % 2 == 0 else (n, 1, z))
     if n % 2 == 0:
         pts.add((3, n - 2, n))
     ls = LatticeSet(LatticeDims(n, 3), frozenset(pts))
@@ -368,7 +363,8 @@ def size_bounds(m: int, n: int) -> tuple[int, Fraction]:
     The lower bound is the exact size of the densest set this package
     builds; the upper bound is (m+2)(n+2)/6, valid for min(m, n) >= 2.
     """
-    m, n = integer(m, "size_bounds m", 2), integer(n, "size_bounds n", 2)
+    m = integer(m, "size_bounds m", 2)
+    n = integer(n, "size_bounds n", 2)
     lower = len(dense_minps(m, n))
     upper = Fraction((m + 2) * (n + 2), 6)
     return lower, upper

@@ -41,7 +41,8 @@ class _Box:
 
     def __post_init__(self) -> None:
         fields = vars(self)  # the dataclass fields; frozen: past __setattr__
-        fields.update({k: integer(v, f"{self._noun} dims {k}", 1) for k, v in fields.items()})
+        for k, v in fields.items():
+            fields[k] = integer(v, f"{self._noun} dims {k}", 1)
 
     @property
     def cells(self) -> int:
@@ -209,7 +210,8 @@ def translate(ps: PointSet, k: int, l: int, target: GridDims | None = None) -> P
     Raises BoundsError naming the least point whose image does not fit.
     """
     dims = target if target is not None else ps.dims
-    k, l = integer(k, "translate k"), integer(l, "translate l")
+    k = integer(k, "translate k")
+    l = integer(l, "translate l")
     return _moved(ps, dims, [(x + k, y + l) for x, y in ps.points], f"translate by ({k},{l}) moves")
 
 

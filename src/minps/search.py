@@ -52,9 +52,10 @@ share of the node budget and the whole size range, never a bound found by
 another partition, so results and node counts do not depend on the worker
 count; a range stops at its first hit of size hi.  A node is a visited set,
 counted once before either cut.  A result is ``exhaustive`` when no scanned
-partition ran out of budget.  The deadline is read on every node.  The shape
-(bitboard constants, symmetries, protected corners) is built once per search
-and handed to every partition scan.  A search runs at most one worker per
+partition ran out of budget.  The deadline is read on every node, and once
+it has passed a range stops at the first partition read that ran out.  The
+shape (bitboard constants, symmetries, protected corners) is built once per
+search and handed to every partition scan.  A search runs at most one worker per
 CPU and keeps nothing once it returns: its pool is terminated as soon as the
 results it uses are read.
 """
@@ -70,7 +71,7 @@ from numbers import Real
 from .errors import DomainError, EngineError, ResourceLimitError, integer
 from .grid import GridDims, LatticeDims, LatticeSet, PointSet, check_grid
 from .percolate import board_closure, cell_at, cell_indices
-from .verify import corner_cells, corners
+from .verify import corner_cells
 
 DEFAULT_MAX_NODES = 200_000_000
 
@@ -234,22 +235,22 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             last -= 1
 
 
-def _run_block(shape, sizes, node_cap, deadline, pool, workers):
+def _run_block(shape, sizes, node_cap, deadline, pool):
     """Scan the partitions of the sizes ``sizes`` = (lo, hi) in first-cell
     order and return the largest hit, the earliest partition's on a tie; stop
     at the first hit of size hi.  Partition budgets are fixed shares of
     ``node_cap`` and every partition gets the whole size range, so the outcome
     is identical for any worker count.  Nodes and truncation are summed over
-    the partitions scanned."""
+    the partitions read.  Past the deadline the block stops at the first
+    partition read that ran out, without waiting for the ones after it."""
     lo, hi = sizes
     # A percolating set has a seed in the first slab of the slowest axis.
     parts = min(shape.stride, shape.cells - lo + 1)
     base_cap, extra = divmod(node_cap, parts)
     arglist = [(sizes, first, base_cap + (first < extra), deadline, shape)
                for first in range(parts)]
-    # A chunk of partitions pickles one copy of the shape, not one per partition.
-    results = (pool.imap(_scan_partition, arglist, max(1, parts // (4 * workers)))
-               if pool is not None and parts > 1 else map(_scan_partition, arglist))
+    results = (pool.imap(_scan_partition, arglist) if pool is not None and parts > 1
+               else map(_scan_partition, arglist))
     best = None
     nodes = 0
     truncated = False
@@ -260,12 +261,9 @@ def _run_block(shape, sizes, node_cap, deadline, pool, workers):
             best = hit
             if len(hit) == hi:
                 break
+        if trunc and deadline is not None and time.monotonic() > deadline:
+            break  # each partition left would stop at its first node
     return best, nodes, truncated
-
-
-def _witness(dims: GridDims | LatticeDims, cand: tuple[int, ...]) -> PointSet | LatticeSet:
-    cls = LatticeSet if isinstance(dims, LatticeDims) else PointSet
-    return cls(dims, frozenset(cell_at(dims, i) for i in cand))
 
 
 def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
@@ -293,7 +291,7 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
             if remaining <= 0 or (deadline is not None and time.monotonic() > deadline):
                 truncated = True
                 break
-            h, nodes, trunc = _run_block(shape, sizes, remaining, deadline, pool, workers)
+            h, nodes, trunc = _run_block(shape, sizes, remaining, deadline, pool)
             total_nodes += nodes
             truncated = truncated or trunc
             if h is not None:
@@ -303,9 +301,10 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
         # Every result the search uses has been read.
         if pool is not None:
             pool.terminate()
+    cls = LatticeSet if isinstance(dims, LatticeDims) else PointSet
     return SearchResult(
         value=len(hit),
-        witness=_witness(dims, hit),
+        witness=cls(dims, frozenset(cell_at(dims, i) for i in hit)),
         exhaustive=not truncated,
         nodes=total_nodes,
         elapsed=time.monotonic() - start,
@@ -324,8 +323,7 @@ def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> S
     """Exact maximum size of a corner-avoiding MinPS; value 0 with an empty
     witness when no such set exists.  Symmetry reduction uses only the
     symmetries that preserve the pair of protected corners."""
-    check_grid(dims, "max_corner_avoiding")
-    corners(dims)  # DomainError unless the grid is at least 2x2
+    check_grid(dims, "max_corner_avoiding")  # the shape's corner_cells needs a 2x2 grid
     return _drive(dims, "corner", budget or SearchBudget())
 
 
@@ -347,7 +345,8 @@ def monotonicity_table(max_m: int, max_n: int,
     limit is no integer or is below 1, and ResourceLimitError when the
     budget runs out on some grid, as the table would then be inexact.
     """
-    max_m, max_n = integer(max_m, "table max_m", 1), integer(max_n, "table max_n", 1)
+    max_m = integer(max_m, "table max_m", 1)
+    max_n = integer(max_n, "table max_n", 1)
     table: dict[tuple[int, int], int] = {}
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):

@@ -278,23 +278,27 @@ class TestMinPercolating:
             min_percolating(GridDims(3, 3), r=3)
 
     def test_cell_cap_checked_before_search_tables(self, monkeypatch):
-        # The shape's first act is its board closure, which checks the cap
-        # before it builds any mask of the board's size.
-        import minps.percolate
+        # The cap must be checked before anything of the board's size exists:
+        # one mask of these 16M-cell boards holds 2 MB, and the peak must stay
+        # below half of that.
         from minps import ResourceLimitError
 
-        def build(*args):
-            raise AssertionError("board mask built before the cell cap was checked")
-
         monkeypatch.setenv("MINPS_CELL_CAP", "10")
-        monkeypatch.setattr(minps.percolate, "axis_mask", build)
         calls = [
-            lambda: max_minps(GridDims(4, 4)), lambda: max_corner_avoiding(GridDims(4, 3)),
-            lambda: min_percolating(GridDims(4, 4)), lambda: min_percolating(LatticeDims(3, 3)),
+            lambda: max_minps(GridDims(4000, 4000)),
+            lambda: max_corner_avoiding(GridDims(4000, 4000)),
+            lambda: min_percolating(GridDims(4000, 4000)),
+            lambda: min_percolating(LatticeDims(250, 3)),
         ]
         for call in calls:
-            with pytest.raises(ResourceLimitError):
-                call()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestLargeGrids:
@@ -327,6 +331,16 @@ class TestLargeGrids:
         # 300x300 that alone spent the whole budget before the first node.
         res = min_percolating(GridDims(300, 300), SearchBudget(max_time=0.5, workers=2))
         assert not res.exhaustive and res.nodes > 0
+
+    def test_range_stops_at_the_first_partition_past_the_deadline(self):
+        # Each partition after it would stop at its first node; waiting for
+        # the 300 of a 300x300 range, each with its own pickled shape, once
+        # took a 0.5 s search with workers=2 to 0.55-0.94 s.
+        from minps.search import _Shape, _run_block
+
+        shape = _Shape(GridDims(300, 300), "perc")
+        best, nodes, truncated = _run_block(shape, (151, 151), 10**6, time.monotonic() - 1, None)
+        assert (best, nodes, truncated) == (None, 1, True)
 
     @pytest.mark.parametrize("search", [max_minps, max_corner_avoiding, min_percolating])
     def test_node_budget_bounds_the_work(self, search):
@@ -365,7 +379,7 @@ class TestSearchKeepsNoState:
             def __init__(self, processes):
                 sizes.append(processes)
 
-            def imap(self, func, iterable, chunksize=1):
+            def imap(self, func, iterable):
                 return map(func, iterable)
 
             def terminate(self):
