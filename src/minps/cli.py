@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: construct, verify, search, render, table, bounds.
+Subcommands: construct, verify, search (--table: the max-MinPS table), render, bounds.
 Exit codes: 0 success, 1 a verified property fails, 2 usage or input errors.
 """
 
@@ -83,11 +83,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    budget = SearchBudget(
-        max_nodes=args.max_nodes,
-        max_time=args.max_time,
-        workers=args.workers,
-    )
+    budget = SearchBudget(max_nodes=args.max_nodes, max_time=args.max_time, workers=args.workers)
     if args.target != "minperc" and args.r != 2:
         raise DomainError(f"--r applies to --target minperc only, got --r {args.r}")
     if args.table:
@@ -95,7 +91,11 @@ def _cmd_search(args) -> int:
             raise DomainError("--table supports --target E on grids only")
         if args.dims is None:
             raise DomainError("--table requires --dims")
-        _print_table(args.dims[0], args.dims[1], budget)
+        max_m, max_n = args.dims
+        table = monotonicity_table(max_m, max_n, budget)
+        print("m\\n\t" + "\t".join(str(n) for n in range(1, max_n + 1)))
+        for m in range(1, max_m + 1):
+            print("\t".join([str(m)] + [str(table[(m, n)]) for n in range(1, max_n + 1)]))
         return 0
     if args.d_lattice is None and args.dims is None:
         raise DomainError("search requires --dims or --d-lattice")
@@ -123,14 +123,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _print_table(max_m: int, max_n: int, budget: SearchBudget | None = None) -> None:
-    table = monotonicity_table(max_m, max_n, budget)
-    header = "m\\n\t" + "\t".join(str(n) for n in range(1, max_n + 1))
-    print(header)
-    for m in range(1, max_m + 1):
-        print("\t".join([str(m)] + [str(table[(m, n)]) for n in range(1, max_n + 1)]))
-
-
 def _cmd_render(args) -> int:
     ps = load_points(args.file)
     opts = RenderOptions(
@@ -140,11 +132,6 @@ def _cmd_render(args) -> int:
         show_rects=args.rects,
     )
     print(render(ps, opts))
-    return 0
-
-
-def _cmd_table(args) -> int:
-    _print_table(args.max_m, args.max_n)
     return 0
 
 
@@ -195,11 +182,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--on", default="#")
     p.add_argument("--off", default=".")
     p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("table", help="exact max-MinPS sizes for all grids up to a limit")
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("bounds", help="certified lower and proven upper size bounds")
     p.add_argument("--dims", nargs=2, type=int, required=True, metavar=("M", "N"))

@@ -63,6 +63,8 @@ def ladder(k: int, a: int = 1, b: int = 1, dims: GridDims | None = None) -> Poin
     [(a, b), (a, b + 3k - 1)].
     """
     k = integer(k, "ladder k", 1)
+    a = integer(a, "ladder a", 1)
+    b = integer(b, "ladder b", 1)
     extent = GridDims(a, b + 3 * k - 1)
     check_closure(extent)  # an explicit ``dims`` holds the ladder, so is no smaller
     return PointSet(extent if dims is None else dims, frozenset(_ladder_pairs(k, a, b)))

@@ -104,9 +104,12 @@ class Rect:
     hi: Point
 
     def __post_init__(self) -> None:
-        if type(self.lo) is not Point or type(self.hi) is not Point:
-            object.__setattr__(self, "lo", Point(*(integer(c, "rect corner") for c in self.lo)))
-            object.__setattr__(self, "hi", Point(*(integer(c, "rect corner") for c in self.hi)))
+        if {type(self.lo), type(self.hi)} != {Point} or set(map(type, self.lo + self.hi)) != {int}:
+            for name in ("lo", "hi"):
+                corner = tuple(integer(c, "rect corner") for c in getattr(self, name))
+                if len(corner) != 2:
+                    raise DomainError(f"rect corner {name} must have 2 coordinates, got {corner}")
+                object.__setattr__(self, name, Point(*corner))
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y:
             raise DomainError(f"degenerate rectangle [{self.lo}, {self.hi}]")
 

@@ -25,8 +25,8 @@ closures infect few cells a round: a 300x300 spiral takes 44,696 rounds,
 ``closure``, ``percolates`` and ``spans`` take grid sets and, under the
 same 2-neighbour rule, lattice sets.  On a grid every closure is a disjoint
 union of filled rectangles at pairwise taxicab distance >= 3, and
-``closure_rects`` reads them straight off the closure's flags; it and
-``internally_spans`` take grid sets only.
+``closure_rects`` reads them off the flags' runs a column at a time; it
+and ``internally_spans`` take grid sets only.
 
 This module alone owns the flat layout, its axis masks, every closure rule
 and the cell cap.  The layout reads nothing but ``dims.sizes``, so no part
@@ -332,39 +332,34 @@ def closure_rects(ps: PointSet) -> RectDecomposition:
     """Decompose the closure of ``ps`` into its maximal rectangles.
 
     The closure of any seed is a disjoint union of fully infected rectangles
-    at pairwise taxicab distance >= 3.  A rectangle's lowest-leftmost cell is
-    an infected cell with nothing infected below it or to its left; the
-    rectangle runs up and right from there.  That each rectangle is full,
-    that their sizes add up to the closure and that they are pairwise >= 3
-    apart are checked at runtime, which together prove the decomposition.
+    at pairwise taxicab distance >= 3.  The closure is read a column at a
+    time: a run of infected cells that spans the same rows as a run in the
+    column before extends that run's rectangle, any other starts one.  So
+    the rectangles are full and cover the closure by construction, and the
+    runtime check that they are pairwise >= 3 apart proves the decomposition.
     """
     check_grid(ps.dims, "closure_rects")
     m, n = ps.dims
-    flags, count, _ = close_points(ps.dims, ps.points)
-    boxes: list[tuple[int, int, int, int]] = []  # (x0, y0, x1, y1), in lo order
-    for x in range(m):
-        top = (x + 1) * n
-        lo = flags.find(1, x * n, top)
+    flags = close_points(ps.dims, ps.points)[0]
+    boxes: list[list[int]] = []  # [x0, y0, x1, y1], in lo order
+    last: dict[tuple[int, int], list[int]] = {}  # the previous column's boxes by their rows
+    for x in range(1, m + 1):
+        base, top = (x - 1) * n, x * n
+        runs = {}
+        lo = flags.find(1, base, top)
         while lo >= 0:
             hi = flags.find(0, lo, top)
             if hi < 0:
                 hi = top
-            # cells lo..hi-1 are a run up column x+1; if nothing is infected
-            # to the left of its bottom cell, that cell is a rectangle's corner
-            if x == 0 or not flags[lo - n]:
-                w = 1
-                while x + w < m and flags[lo + w * n]:
-                    w += 1
-                boxes.append((x + 1, lo - x * n + 1, x + w, hi - x * n))
-                for k in range(1, w):
-                    gap = flags.find(0, lo + k * n, hi + k * n)
-                    if gap >= 0:
-                        raise EngineError(f"closure rectangle {boxes[-1]} has uninfected cell "
-                                          f"{cell_at(ps.dims, gap)}")
+            rows = (lo - base + 1, hi - base)
+            box = last.get(rows)
+            if box is None:
+                box = [x, rows[0], x, rows[1]]
+                boxes.append(box)
+            box[2] = x
+            runs[rows] = box
             lo = flags.find(1, hi, top)
-    covered = sum((x1 - x0 + 1) * (y1 - y0 + 1) for x0, y0, x1, y1 in boxes)
-    if covered != count:
-        raise EngineError(f"closure rectangles cover {covered} cells, the closure {count}")
+        last = runs
     for i, (ax0, ay0, ax1, ay1) in enumerate(boxes):
         for j in range(i + 1, len(boxes)):
             bx0, by0, _, by1 = boxes[j]

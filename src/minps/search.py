@@ -78,6 +78,10 @@ DEFAULT_MAX_NODES = 200_000_000
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one search: ``max_nodes`` visited sets, ``max_time`` seconds,
+    ``workers`` processes.  A size range splits what is left of ``max_nodes``
+    into fixed shares, one per partition: a share unused by its partition is lost to the range."""
+
     max_nodes: int = DEFAULT_MAX_NODES
     max_time: float | None = None
     workers: int = 1

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from minps import (
@@ -10,7 +13,7 @@ from minps import (
     render,
     save_points,
 )
-from minps.cli import run
+from minps.cli import _make_parser, run
 
 
 def test_construct_then_verify_round_trip(tmp_path, capsys):
@@ -64,10 +67,22 @@ def test_render_matches_library(tmp_path, capsys):
 
 
 def test_table_subcommand(capsys):
-    assert run(["table", "--max-m", "4", "--max-n", "2"]) == 0
+    assert run(["search", "--target", "E", "--dims", "4", "2", "--table"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("m\\n")
     assert lines[3].split("\t") == ["3", "2", "3"]
+
+
+def test_readme_commands_parse():
+    # every command in README's "Command line" block names a command and flags that exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["minps"]]
+    assert commands
+    parser = _make_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func
 
 
 def test_bounds_subcommand(capsys):
@@ -193,7 +208,7 @@ def test_construct_checks_the_cell_cap(tmp_path, capsys, monkeypatch, params):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["table", "--max-m", "0", "--max-n", "3"],
+@pytest.mark.parametrize("argv", [["search", "--target", "E", "--dims", "0", "3", "--table"],
                                   ["search", "--target", "E", "--table", "--dims", "-1", "2"]])
 def test_table_rejects_empty_sizes(argv, capsys):
     assert run(argv) == 2

@@ -184,6 +184,7 @@ class TestClosureRects:
             for r in dec.rects:
                 covered |= set(r.cells())
             assert covered == set(cl.infected.points)
+            assert [r.lo for r in dec.rects] == sorted(r.lo for r in dec.rects)
             for i, ra in enumerate(dec.rects):
                 for rb in dec.rects[i + 1:]:
                     assert ra.distance(rb) >= 3
@@ -193,6 +194,7 @@ class TestClosureRects:
         [(1, 1), (1, 2), (2, 2)],                           # a step: (2, 2) is in no rectangle
         [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2), (5, 1), (5, 2)],  # squares 2 apart
         [(1, 1), (1, 2), (2, 2), (5, 5), (5, 6), (6, 5)],  # sizes add up, (6, 6) is a hole
+        [(x, y) for x in (2, 3, 4) for y in (2, 3, 4) if (x, y) != (3, 3)],  # a ring
     ])
     def test_rejects_flags_that_are_not_a_closure(self, monkeypatch, infected):
         dims = GridDims(6, 6)

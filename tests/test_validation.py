@@ -9,6 +9,7 @@ import pytest
 from minps import (
     DomainError,
     GridDims,
+    Point,
     PointSet,
     Rect,
     RenderOptions,
@@ -48,10 +49,15 @@ from minps import (
     lambda: translate(PointSet(GridDims(3, 3), [(1, 1)]), "1", 0),
     lambda: internally_spans(PointSet(GridDims(3, 3), [(1, 1)]), Rect((1.5, 1), (2, 2))),
     lambda: min_percolating(GridDims(3, 3), SearchBudget(max_time=Decimal("1"))),
+    lambda: Rect(Point(1.5, 1), Point(2, 2)),
+    lambda: Rect((1, 2, 3), (2, 2)),
+    lambda: ladder(1, 1, "1"),
+    lambda: ladder(1, 1, 0),
 ], ids=["budget-time", "table-limit", "double-times", "strip-k", "render-glyph",
         "simple-m", "ladder-k", "chain-copies", "strip-chain-copies", "dense-m",
         "bounds-m", "square-side", "dense-params-m", "rect-word", "translate-shift",
-        "rect-float", "budget-decimal-time"])
+        "rect-float", "budget-decimal-time", "rect-float-point", "rect-three-coordinates",
+        "ladder-b-word", "ladder-b-zero"])
 def test_malformed_numbers_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()

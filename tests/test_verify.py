@@ -248,7 +248,8 @@ def test_engine_error_when_the_tree_disagrees_with_the_closure(monkeypatch):
 
 
 def test_minps_deletion_closures_are_proper_rect_unions():
-    # closure_rects itself asserts full coverage and pairwise distance >= 3
+    # closure_rects reads full rectangles that cover the closure, and itself
+    # checks that they are pairwise >= 3 apart
     from minps import closure_rects
 
     a = simple_minps(5, 5).points
