@@ -1,7 +1,7 @@
 """Exhaustive answers on small grids.
 
-The search grows seed sets depth-first as bitmasks, with symmetry
-reduction, and cuts a branch at its first redundant seed, at a row or column
+The search grows seed sets depth-first as bitmasks in lexicographic order,
+and cuts a branch at its first redundant seed, at a row or column
 that can no longer fill, or once the set percolates.  For the largest
 minimal sets, one pass per first cell serves every size: after each hit it
 looks only for larger sets.  The answer is certified exact when no part of

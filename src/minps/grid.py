@@ -106,9 +106,11 @@ class Rect:
     def __post_init__(self) -> None:
         if {type(self.lo), type(self.hi)} != {Point} or set(map(type, self.lo + self.hi)) != {int}:
             for name in ("lo", "hi"):
-                corner = tuple(integer(c, "rect corner") for c in getattr(self, name))
+                raw = getattr(self, name)  # a corner that does not iterate has no coordinates
+                corner = (tuple(integer(c, "rect corner") for c in raw)
+                          if isinstance(raw, Iterable) else ())
                 if len(corner) != 2:
-                    raise DomainError(f"rect corner {name} must have 2 coordinates, got {corner}")
+                    raise DomainError(f"rect corner {name} must have 2 coordinates, got {raw!r}")
                 object.__setattr__(self, name, Point(*corner))
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y:
             raise DomainError(f"degenerate rectangle [{self.lo}, {self.hi}]")

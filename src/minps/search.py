@@ -16,12 +16,13 @@ The value is the largest hit of any partition, and the witness the earliest
 partition's hit of that size.  ``min_percolating`` scans the ranges (s, s)
 up to the first with a hit, from the least size the slab lemma allows.
 
-A grid hit is canonical: the least set of its orbit under the symmetries,
-each a pair of per-axis maps sending cell x*n + y (0-based) to cols[x] +
-rows[y].  A lattice hit needs no test: the first hit of a size is already
-the least set of its orbit.  A percolating set ends its branch, as no
-proper superset of it is minimal.  Two cuts drop only sets that can never
-be a hit:
+A hit needs no symmetry test: a finished search's witness is the least
+hit of its size, and each image of it under a symmetry of the box (for the
+corner target, one fixing the corners) is a hit of that size, so no less.
+A truncated run's witness is the first certified set of the reported size
+it found, not necessarily the least.  A percolating set ends its branch,
+as no proper superset of it is minimal.  Two cuts drop only sets that can
+never be a hit:
 
 * closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
   cl(P - v) meets a protected corner, no S containing P is minimal, or
@@ -54,7 +55,7 @@ count; a range stops at its first hit of size hi.  A node is a visited set,
 counted once before either cut.  A result is ``exhaustive`` when no scanned
 partition ran out of budget.  The deadline is read on every node, and once
 it has passed a range stops at the first partition read that ran out.  The
-shape (bitboard constants, symmetries, protected corners) is built once per
+shape (bitboard constants, mask closure, protected corners) is built once per
 search and handed to every partition scan.  A search runs at most one worker per
 CPU and keeps nothing once it returns: its pool is terminated as soon as the
 results it uses are read.
@@ -105,7 +106,7 @@ class SearchResult:
 class _Shape:
     """What a partition scan reads of its dims and target: the slowest
     axis's size ``m`` and slab ``stride``, the fastest axis's size ``n``, the
-    slab ``gap``, the mask closure ``close`` and the grid symmetries."""
+    slab ``gap``, the mask closure ``close`` and the protected ``corner`` mask."""
 
     def __init__(self, dims: GridDims | LatticeDims, target: str, r: int = 2):
         self.close = board_closure(dims, r)
@@ -115,35 +116,10 @@ class _Shape:
         # r = 1 has no slab lemma: the box is then one slab of one row.
         self.m, self.n, self.stride = (1, 1, cells) if r == 1 else (
             sizes[0], sizes[-1], cells // sizes[0])
-        maps = set()
-        if isinstance(dims, GridDims):
-            m, n = dims
-            # A flip reverses one axis; a transpose (m == n) swaps the axes' roles.
-            xs = (tuple(range(0, m * n, n)), tuple(range((m - 1) * n, -1, -n)))
-            ys = (tuple(range(n)), tuple(range(n - 1, -1, -1)))
-            maps = {(c, r) for c in xs for r in ys}
-            if m == n:
-                maps |= {(r, c) for c in xs for r in ys}
-            maps.discard((xs[0], ys[0]))  # on a thin grid some flips are the identity
         self.corner = 0
         if target == "corner":
-            idx = sorted(cell_indices(dims, corner_cells(dims)))
-            self.corner = sum(1 << i for i in idx)
-            maps = {(c, r) for c, r in maps if sorted(c[i // n] + r[i % n] for i in idx) == idx}
-        self.symmetries = sorted(maps)
+            self.corner = sum(1 << i for i in cell_indices(dims, corner_cells(dims)))
         self.cut = target != "perc"  # test the prefix's seeds (see the module docstring)
-
-
-def _is_canonical(cand: tuple[int, ...], mask: int, shape: _Shape) -> bool:
-    # Of two equal-size sets, the one with the least cell of their symmetric
-    # difference comes first in lexicographic order.
-    n = shape.n
-    for cols, rows in shape.symmetries:
-        img = sum([1 << (cols[i // n] + rows[i % n]) for i in cand])
-        diff = img ^ mask
-        if img & diff & -diff:
-            return False
-    return True
 
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
@@ -214,7 +190,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                 cclosed = close(cmask) if k == hi else cmask
             if cclosed == full:
                 # No proper superset of a percolating set is minimal.
-                if k >= lo and _is_canonical((*path, c), cmask, shape):
+                if k >= lo:
                     hit = (*path, c)
                     if k == hi:
                         return hit, nodes, False
@@ -316,17 +292,18 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
 
 
 def max_minps(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
-    """Exact maximum size of a MinPS, with a lexicographically-least canonical
-    witness.  With an exhausted budget the value is a lower bound and
-    ``exhaustive`` is False."""
+    """Exact maximum size of a MinPS, with the lexicographically least witness
+    of that size, which no symmetry of the grid maps to a lesser set.  With an
+    exhausted budget the value is a lower bound, the witness the first set
+    of that size found, and ``exhaustive`` is False."""
     check_grid(dims, "max_minps")
     return _drive(dims, "minps", budget or SearchBudget())
 
 
 def max_corner_avoiding(dims: GridDims, budget: SearchBudget | None = None) -> SearchResult:
     """Exact maximum size of a corner-avoiding MinPS; value 0 with an empty
-    witness when no such set exists.  Symmetry reduction uses only the
-    symmetries that preserve the pair of protected corners."""
+    witness when no such set exists.  A finished search's witness is the
+    least of its size, so canonical under each symmetry fixing the corners."""
     check_grid(dims, "max_corner_avoiding")  # the shape's corner_cells needs a 2x2 grid
     return _drive(dims, "corner", budget or SearchBudget())
 

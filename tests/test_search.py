@@ -159,6 +159,20 @@ def test_pinned_witness_beyond_the_oracles(search, m, n, witness):
     assert naive_certify(m, n, witness, corner=search is max_corner_avoiding)[0]
 
 
+# The nodes of exhaustive maximisation runs: computing the same cuts another
+# way must leave them as they are, and a new cut must retarget them.
+PINNED_NODES = [(max_minps, 4, 4, 2041), (max_minps, 5, 4, 8305), (max_minps, 4, 5, 10238),
+                (max_corner_avoiding, 4, 4, 160), (max_corner_avoiding, 5, 4, 549)]
+
+
+@pytest.mark.parametrize("search,m,n,nodes", PINNED_NODES,
+                         ids=[f"{s.__name__}-{m}x{n}" for s, m, n, _ in PINNED_NODES])
+def test_pinned_node_counts(search, m, n, nodes):
+    res = search(GridDims(m, n))
+    assert res.exhaustive
+    assert res.nodes == nodes
+
+
 @pytest.mark.parametrize("search,m,n,max_nodes", [(max_minps, 5, 4, 3000),
                                                   (max_corner_avoiding, 5, 5, 1000)])
 def test_workers_do_not_change_a_budgeted_outcome(search, m, n, max_nodes):
@@ -319,7 +333,7 @@ class TestLargeGrids:
         # a deep node closes its set once per seed, so the deadline is read on
         # every node; read every 4096 nodes, 3 s once ran to 7.4 s on 200x200.
         # What a search builds before its first node is paid from the budget
-        # too, so it must not grow with the cells times the symmetries.
+        # too, so it must grow no faster than the cells.
         start = time.monotonic()
         res = search(GridDims(300, 300), SearchBudget(max_time=0.2))
         assert not res.exhaustive and res.nodes > 0
@@ -394,8 +408,8 @@ class TestSearchKeepsNoState:
             serial.value, serial.witness, serial.nodes, serial.exhaustive)
 
     def test_large_search_keeps_no_memory(self):
-        # one permutation table per symmetry would hold about 10 MB on
-        # 200x200; the per-axis maps hold 400 ints each
+        # the search keeps no table over the cells: one list of the 40,000
+        # cell indices of 200x200 alone would hold over 1 MB
         tracemalloc.start()
         try:
             res = max_minps(GridDims(200, 200), SearchBudget(max_nodes=1000))
@@ -565,23 +579,24 @@ class TestMaskEngineAgreement:
                     == naive_certify(m, n, pts, corner=True))
 
 
-def _permutations(shape):
-    # each per-axis map spelled out as a permutation of the cell indices
-    n = shape.n
-    return {tuple(cols[i // n] + rows[i % n] for i in range(shape.cells))
-            for cols, rows in shape.symmetries}
-
-
 class TestSymmetries:
-    @pytest.mark.parametrize("m", range(1, 8))
-    def test_per_axis_maps_match_the_naive_permutations(self, m):
-        from minps.search import _Shape
-
-        for n in range(1, 8):
-            shape = _Shape(GridDims(m, n), "minps")
-            assert _permutations(shape) == naive_symmetries(m, n)
-            assert len(shape.symmetries) == (0 if m == n == 1 else 1 if min(m, n) == 1
-                                             else 7 if m == n else 3)
+    # A finished search's witness is the least set of its size, so no symmetry
+    # (for Ec, none that fixes the corners) maps it to a lesser set.
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_exhaustive_witnesses_are_canonical(self, m):
+        for n in range(1, 20 // m + 1):
+            perms = naive_symmetries(m, n)
+            searches = [(max_minps, perms), (min_percolating, perms)]
+            if min(m, n) >= 2:
+                corner = {(x - 1) * n + y - 1 for x, y in naive_corner_cells(m, n)}
+                searches.append((max_corner_avoiding,
+                                 {p for p in perms if {p[i] for i in corner} == corner}))
+            for search, symmetries in searches:
+                res = search(GridDims(m, n))
+                assert res.exhaustive
+                cells = sorted((x - 1) * n + y - 1 for x, y in res.witness.points)
+                for p in symmetries:
+                    assert cells <= sorted(p[i] for i in cells), (search.__name__, m, n, p)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_corner_subset_fixes_the_corner_cells(self, m):
@@ -591,8 +606,6 @@ class TestSymmetries:
             shape = _Shape(GridDims(m, n), "corner")
             corner = {(x - 1) * n + y - 1 for x, y in naive_corner_cells(m, n)}
             assert shape.corner == sum(1 << i for i in corner)
-            assert _permutations(shape) == {
-                p for p in naive_symmetries(m, n) if {p[i] for i in corner} == corner}
 
 
 class TestMonotonicityTable:

@@ -53,11 +53,13 @@ from minps import (
     lambda: Rect((1, 2, 3), (2, 2)),
     lambda: ladder(1, 1, "1"),
     lambda: ladder(1, 1, 0),
+    lambda: Rect((1, 1), 5),
+    lambda: Rect(None, (2, 2)),
 ], ids=["budget-time", "table-limit", "double-times", "strip-k", "render-glyph",
         "simple-m", "ladder-k", "chain-copies", "strip-chain-copies", "dense-m",
         "bounds-m", "square-side", "dense-params-m", "rect-word", "translate-shift",
         "rect-float", "budget-decimal-time", "rect-float-point", "rect-three-coordinates",
-        "ladder-b-word", "ladder-b-zero"])
+        "ladder-b-word", "ladder-b-zero", "rect-int-corner", "rect-none-corner"])
 def test_malformed_numbers_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
