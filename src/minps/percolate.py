@@ -28,6 +28,13 @@ union of filled rectangles at pairwise taxicab distance >= 3, and
 ``closure_rects`` reads them off the flags' runs a column at a time; it
 and ``internally_spans`` take grid sets only.
 
+``board_closure`` closes up to ``lanes`` bitboards (cell i at bit i) side
+by side in one int, each in a lane of its cells plus guard bits for the
+largest stride, as many as fit ``_LANE_BITS`` bits.  Its masks are
+replicated over the lanes once, when it is built, and a call stops at a
+fixpoint, at the full board or once a lane meets its target bits: the
+search closes the deletions of a path's set so.
+
 This module alone owns the flat layout, its axis masks, every closure rule
 and the cell cap.  The layout reads nothing but ``dims.sizes``, so no part
 of it tells grids from lattices.  Other modules index points with
@@ -45,7 +52,7 @@ from functools import partial
 from itertools import compress, product, repeat
 from math import prod
 from operator import add, mul, sub
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, EngineError, ResourceLimitError, integer
 from .grid import GridDims, LatticeDims, LatticeSet, Point, PointSet, Rect, check_grid
@@ -61,6 +68,9 @@ _FROM_ASCII = bytes(49) + bytes([1]) + bytes(206)
 
 # The hand-over, in units of one cell of one round (see the module docstring).
 _ROUND_COST, _CELL_GAIN, _START, _HANDOVER = 2500, 1000, 12, 30
+
+# The most bits a lane closure packs its lanes into, past one lane.
+_LANE_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -251,38 +261,63 @@ def close_points(dims: GridDims | LatticeDims, points: Iterable[tuple[int, ...]]
     return _close(*_engine(dims, r), cell_indices(dims, points))
 
 
-def board_closure(dims: GridDims | LatticeDims, r: int = 2) -> Callable[[int], int]:
-    """Check ``dims`` and ``r``, then return ``close(board)``, the closure of a
-    bitboard with cell i at bit i.  Under the 2-neighbour rule on at most two
-    axes of size > 1 (every grid, and [side]^2) it is a shift-and-or sweep of
-    the plane, else rounds of ``counters``.  ``close`` is a partial of a
-    module-level loop, so it pickles for the search's workers."""
+class BoardClosure(NamedTuple):
+    """``close(board, targets=0)`` closes up to ``lanes`` bitboards side by
+    side, board j at bits j * ``width`` + i for cell i."""
+
+    close: Callable[..., int]
+    width: int
+    lanes: int
+
+
+def board_closure(dims: GridDims | LatticeDims, r: int = 2) -> BoardClosure:
+    """Check ``dims`` and ``r``, then return the lane closure of ``dims``.
+
+    A lane is ``width`` = cells + the largest stride bits wide: the guard bits
+    above its cells catch what a shift pushes out, and the masks, replicated
+    once here over every lane, keep each lane's neighbours inside it.
+    ``close(board, targets)`` closes every lane of ``board`` at once and stops
+    at a fixpoint, at the full board or as soon as a lane meets its bits of
+    ``targets``; so whenever the result misses ``targets`` each lane is its
+    own closure, and it never sets a guard bit.  Under the 2-neighbour rule on
+    at most two axes of size > 1 (every grid, and [side]^2) a step is a
+    shift-and-or sweep of the plane, else a round of ``counters``.  ``close``
+    is a partial of a module-level loop, so it pickles for the search's
+    workers."""
     axes, cells, r = _engine(dims, r)
-    full = (1 << cells) - 1
+    width = cells + max((stride for _, stride in axes), default=0)
+    lanes = max(1, min(cells, _LANE_BITS // width))
+    ones = sum(1 << j * width for j in range(lanes))  # bit 0 of every lane
+    full = ((1 << cells) - 1) * ones
     if r == 2 and len(axes) <= 2:
-        n = axes[-1][0]  # the last axis has stride 1, and the other, if any, stride n
-        return partial(_sweep, full, n, axis_mask(n, 1, cells))
-    masks = [(stride, axis_mask(size, stride, cells)) for size, stride in axes]
-    return partial(_count, full, r, masks)
+        # The last axis has stride 1; the other one's stride, or 0 on a single
+        # axis, where left == right == mask adds nothing the row rule does not.
+        n = axes[0][1] if len(axes) == 2 else 0
+        close = partial(_sweep, full, n, axis_mask(axes[-1][0], 1, cells) * ones)
+    else:
+        close = partial(_count, full, r, [(stride, axis_mask(size, stride, cells) * ones)
+                                          for size, stride in axes])
+    return BoardClosure(close, width, lanes)
 
 
-def _sweep(full: int, n: int, not_bot: int, mask: int) -> int:
-    # The full grid is a fixpoint too, so stop as soon as it is reached.
+def _sweep(full: int, n: int, not_bot: int, mask: int, targets: int = 0) -> int:
+    # The full board is a fixpoint too, so stop as soon as it is reached.  No
+    # term can set a guard bit: left's are cleared by the lane-local right.
     while True:
         up = (mask << 1) & not_bot
         down = (mask & not_bot) >> 1
         right = (mask << n) & full
         left = mask >> n
         grown = mask | (up & down) | (left & right) | ((up | down) & (left | right))
-        if grown == full or grown == mask:
+        if grown == full or grown == mask or grown & targets:
             return grown
         mask = grown
 
 
-def _count(full: int, r: int, masks: list[tuple[int, int]], mask: int) -> int:
+def _count(full: int, r: int, masks: list[tuple[int, int]], mask: int, targets: int = 0) -> int:
     while True:
         grown = mask | counters(masks, r, mask)[r]
-        if grown == full or grown == mask:
+        if grown == full or grown == mask or grown & targets:
             return grown
         mask = grown
 

@@ -21,16 +21,32 @@ hit of its size, and each image of it under a symmetry of the box (for the
 corner target, one fixing the corners) is a hit of that size, so no less.
 A truncated run's witness is the first certified set of the reported size
 it found, not necessarily the least.  A percolating set ends its branch,
-as no proper superset of it is minimal.  Two cuts drop only sets that can
-never be a hit:
+as no proper superset of it is minimal.  Three cuts drop only sets that
+are no hit, or no least hit:
 
 * closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
   cl(P - v) meets a protected corner, no S containing P is minimal, or
   corner-avoiding.  The maximization targets test every seed of each new
-  prefix so; the path keeps cl(P) and each cl(P - v), and a new cell c
-  closes each from its parent's mask, as cl(A | B) == cl(cl(A) | B).
-  ``min_percolating`` closes only full-size sets: a smallest percolating
-  set is minimal anyway;
+  prefix so.  The path keeps cl(P) and each cl(P - v) as the lanes of
+  ``board_closure``, in chunks of at most its ``lanes`` lanes: lane 0 is
+  cl(P), with no target, and the lane of seed v is cl(P - v), with target
+  v | corner.  A new cell c is added to every lane, as cl(A | B) ==
+  cl(cl(A) | B), and each chunk is closed by one call that stops once a
+  lane meets its target, which cuts the node.  Else lane 0 is cl(P + c),
+  and cl(P) becomes the lane of c.  A node makes one call while its set
+  has at most ``lanes`` cells, so always on grids of up to about 60 cells;
+  from about 2,000 cells a chunk is one lane.  ``min_percolating`` closes
+  only full-size sets: a smallest percolating set is minimal anyway;
+* the row flip, y -> n+1-y on a grid with n > 1, for ``max_minps`` and
+  ``min_percolating`` (it moves the protected corners, and lattices do not
+  take it).  It keeps every column in place, and once the scan reaches a
+  cell c in a column after the last one of P, those columns are final for
+  c, for the rest of the level and for every descendant: each such set S
+  and its flip differ first where P and flip(P) do.  So if flip(P) is the
+  lesser there, no such S is the least of its orbit, and the rest of the
+  level is dropped.  This is orderly generation in the sense of Read
+  (1978) and McKay (1998), restricted to a prefix test.  The path keeps
+  flip(P), whether it is the lesser, and P's last column;
 * the slab lemma.  A slab is the set of cells with one coordinate fixed.
   For r >= 2 a slab without seeds stays empty on the border or next to
   another empty slab, as each of its cells has at most one neighbour off
@@ -52,13 +68,14 @@ Each partition (the cells of the slowest axis's first slab) gets a fixed
 share of the node budget and the whole size range, never a bound found by
 another partition, so results and node counts do not depend on the worker
 count; a range stops at its first hit of size hi.  A node is a visited set,
-counted once before either cut.  A result is ``exhaustive`` when no scanned
-partition ran out of budget.  The deadline is read on every node, and once
-it has passed a range stops at the first partition read that ran out.  The
-shape (bitboard constants, mask closure, protected corners) is built once per
-search and handed to every partition scan.  A search runs at most one worker per
-CPU and keeps nothing once it returns: its pool is terminated as soon as the
-results it uses are read.
+counted once before the closure and slab cuts; a set the flip cut drops
+is not visited, so that cut lowers node counts.  A result is
+``exhaustive`` when no scanned partition ran out of budget.  The deadline
+is read on every node, and once it has passed a range stops at the first
+partition read that ran out.  The shape (lane closure, protected corners,
+flip flag) is built once per search and handed to every partition scan.
+A search runs at most one worker per CPU and keeps nothing once it
+returns: its pool is terminated as soon as the results it uses are read.
 """
 
 from __future__ import annotations
@@ -106,10 +123,12 @@ class SearchResult:
 class _Shape:
     """What a partition scan reads of its dims and target: the slowest
     axis's size ``m`` and slab ``stride``, the fastest axis's size ``n``, the
-    slab ``gap``, the mask closure ``close`` and the protected ``corner`` mask."""
+    slab ``gap``, the lane closure ``close`` with its lane ``width`` and
+    count ``lanes``, the protected ``corner`` mask and whether the row
+    ``flip`` cut applies."""
 
     def __init__(self, dims: GridDims | LatticeDims, target: str, r: int = 2):
-        self.close = board_closure(dims, r)
+        self.close, self.width, self.lanes = board_closure(dims, r)
         sizes, cells = dims.sizes, dims.cells
         self.cells = cells
         self.gap = 2 if r <= 2 else 1
@@ -120,6 +139,8 @@ class _Shape:
         if target == "corner":
             self.corner = sum(1 << i for i in cell_indices(dims, corner_cells(dims)))
         self.cut = target != "perc"  # test the prefix's seeds (see the module docstring)
+        # The row flip maps a grid onto itself but moves the corner cells.
+        self.flip = isinstance(dims, GridDims) and dims.n > 1 and target != "corner"
 
 
 def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
@@ -128,17 +149,26 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     hit being the first set of the largest size found."""
     (lo, hi), first, node_cap, deadline, shape = args
     m, n, stride, gap = shape.m, shape.n, shape.stride, shape.gap
-    cells, corner, cut, close = shape.cells, shape.corner, shape.cut, shape.close
+    cells, corner, cut, close, flip = shape.cells, shape.corner, shape.cut, shape.close, shape.flip
+    width, lanes = shape.width, shape.lanes
     full = (1 << cells) - 1
+    reps = [0]  # reps[j]: bit 0 of each of j lanes, to add a cell to each
+    for j in range(lanes):
+        reps.append(reps[-1] | 1 << j * width)
     # The set on the path: its mask and its rows (the slabs of the fastest
     # axis).  Row y is bit y+gap of ``rows``; bits 0 and n+2*gap-1 are always
     # set, so a border run reads as an interior run gap-1 longer and a run
     # between set bits a < b needs (b-a-1)//gap rows; ``need`` sums them.
     mask = 0
     rows, need = 1 | 1 << (n + 2 * gap - 1), (n + 2 * gap - 2) // gap
-    # With the cut: cl(mask), and cl(mask - i) for each seed i on the path.
-    closed, drops = 0, []
-    k = 1  # the size of the set a visited cell makes
+    # With the cut, the path's closures in chunks of up to ``lanes`` lanes, with
+    # their targets: lane 0 is cl(mask), target 0, and lane j > 0 is
+    # cl(mask - path[j-1]), target path[j-1] | corner.  ``closed`` is lane 0.
+    closed, chunks, targets = 0, [0], [0]
+    # With the flip cut: the row flip of the set, whether it is the lesser of
+    # the two, and the set's last column.
+    img, bad, lastcol = 0, False, 0
+    k = 1  # the size of the set a visited cell makes, and the lanes of its parent
     # A visited cell c leaves cells - 1 - c cells after it, so the set can still
     # reach size lo while c <= last = cells - 1 - lo + k.
     last = cells - lo
@@ -149,7 +179,9 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     nodes = 0
     while True:
         for c in it:
-            if c > last:
+            # Past the set's last column, its columns are final: no set of the
+            # rest of the level is canonical once the flip of the set is less.
+            if c > last or bad and c // stride > lastcol:
                 it = iter(())  # so the next pass pops this level
                 break
             if nodes >= node_cap:
@@ -171,22 +203,21 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                 continue
             cmask = mask | 1 << c
             if cut:
-                # cl(A | B) == cl(cl(A) | B), so each closure grows from its parent's.
+                # cl(A | B) == cl(cl(A) | B): each lane grows from its parent's
+                # with c added; lane 0's chunk goes last, as the others can cut.
                 if closed & (1 << c | corner):
                     continue
-                cdrops = []
-                for i, d in zip(path, drops):
-                    d = close(d | 1 << c)
-                    if d & (1 << i | corner):
+                cchunks = chunks[:]
+                for j in range(len(chunks) - 1, -1, -1):
+                    t = targets[j]
+                    x = cchunks[j] = close(chunks[j] | reps[min(lanes, k - j * lanes)] << c, t)
+                    if x & t:
                         break
-                    cdrops.append(d)
-                if len(cdrops) < k - 1:
+                if x & t:
                     continue
-                cdrops.append(closed)
-                cclosed = close(closed | 1 << c)
+                cclosed = cchunks[0] & full
             else:
                 # One size at a time from the smallest: only a full-size set is closed.
-                cdrops = drops
                 cclosed = close(cmask) if k == hi else cmask
             if cclosed == full:
                 # No proper superset of a percolating set is minimal.
@@ -198,9 +229,23 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                     last = cells - 1 - lo + k
                 continue
             if k < hi:
-                stack.append((mask, rows, need, closed, drops, it))
+                stack.append((mask, rows, need, closed, chunks, targets, img, bad, lastcol, it))
+                if cut:
+                    # The new lane k is cl(mask) == cl(cmask - c).
+                    top = k % lanes * width
+                    if top:
+                        cchunks[-1] |= closed << top
+                        targets = [*targets[:-1], targets[-1] | (1 << c | corner) << top]
+                    else:
+                        cchunks.append(closed)
+                        targets = [*targets, 1 << c | corner]
+                    chunks = cchunks
+                if flip:
+                    img |= 1 << (c + n - 1 - 2 * (c % n))
+                    diff = img ^ cmask
+                    bad, lastcol = bool(img & diff & -diff), c // stride
                 path.append(c)
-                mask, rows, need, closed, drops = cmask, crows, cneed, cclosed, cdrops
+                mask, rows, need, closed = cmask, crows, cneed, cclosed
                 k += 1
                 last += 1
                 it = iter(range(max(c + 1, (m - 1 - gap * (hi - k)) * stride),
@@ -209,7 +254,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
         else:
             if not stack:
                 return hit, nodes, False
-            mask, rows, need, closed, drops, it = stack.pop()
+            mask, rows, need, closed, chunks, targets, img, bad, lastcol, it = stack.pop()
             path.pop()
             k -= 1
             last -= 1

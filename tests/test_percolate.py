@@ -540,7 +540,7 @@ class TestBoardClosure:
     def check(dims, r, seed, want):
         rng = random.Random(seed)
         cells = [cell_at(dims, i) for i in range(dims.cells)]
-        close = board_closure(dims, r)
+        close = board_closure(dims, r).close
         for _ in range(12):
             density = rng.random()
             board = sum(1 << i for i in range(dims.cells) if rng.random() < density)
@@ -558,6 +558,41 @@ class TestBoardClosure:
         for r in range(1, 2 * d + 2):
             self.check(LatticeDims(side, d), r, 100 * side + 10 * d + r,
                        lambda seeds: naive_lattice_closure(side, d, r, seeds))
+
+    @pytest.mark.parametrize("dims,r", [(GridDims(m, n), 2) for m, n in [
+        (1, 1), (6, 1), (1, 7), (2, 2), (3, 5), (6, 6), (5, 9), (50, 50)]] + [
+        (LatticeDims(side, d), r) for side, d in [(3, 3), (2, 4)] for r in (2, 3)])
+    def test_lanes_close_side_by_side(self, dims, r):
+        # Each lane of a packed board is its own closure whenever no lane
+        # meets its target; a met target shows in the result, and no bit is
+        # ever set outside the cells of the lanes packed.
+        close, width, lanes = board_closure(dims, r)
+        cells = dims.cells
+        strides = [math.prod(dims.sizes[k + 1:]) for k, size in enumerate(dims.sizes) if size > 1]
+        assert width == cells + max(strides, default=0)
+        assert lanes == 1 or 2 <= lanes <= cells and lanes * width <= 4096
+        lane = (1 << cells) - 1
+        rng = random.Random(dims.cells * 10 + r)
+        met_seen = unmet_seen = 0
+        for _ in range(60):
+            k = rng.randint(1, lanes)
+            boards, tgts = [], []
+            for _ in range(k):
+                density = rng.random()
+                boards.append(sum(1 << i for i in range(cells) if rng.random() < density))
+                tgts.append(1 << rng.randrange(cells) if rng.random() * k < 1 else 0)  # about one
+            packed = sum(b << j * width for j, b in enumerate(boards))
+            targets = sum(t << j * width for j, t in enumerate(tgts))
+            x = close(packed, targets)
+            assert x & ~sum(lane << j * width for j in range(k)) == 0
+            singles = [close(b) for b in boards]
+            if any(s & t for s, t in zip(singles, tgts)):
+                met_seen += 1
+                assert x & targets
+            else:
+                unmet_seen += 1
+                assert [x >> j * width & lane for j in range(k)] == singles
+        assert met_seen and unmet_seen
 
     def test_checks_the_threshold_and_the_cap(self, monkeypatch):
         with pytest.raises(DomainError):

@@ -161,7 +161,7 @@ def test_pinned_witness_beyond_the_oracles(search, m, n, witness):
 
 # The nodes of exhaustive maximisation runs: computing the same cuts another
 # way must leave them as they are, and a new cut must retarget them.
-PINNED_NODES = [(max_minps, 4, 4, 2041), (max_minps, 5, 4, 8305), (max_minps, 4, 5, 10238),
+PINNED_NODES = [(max_minps, 4, 4, 1044), (max_minps, 5, 4, 4181), (max_minps, 4, 5, 5229),
                 (max_corner_avoiding, 4, 4, 160), (max_corner_avoiding, 5, 4, 549)]
 
 
@@ -598,6 +598,31 @@ class TestSymmetries:
                 for p in symmetries:
                     assert cells <= sorted(p[i] for i in cells), (search.__name__, m, n, p)
 
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_the_flip_cut_keeps_every_result(self, m, monkeypatch):
+        # The same scans with the shape's row-flip cut cleared: only nodes may
+        # differ, and the cut may only remove them.
+        import minps.search
+
+        shape = minps.search._Shape
+
+        def without_flip(*args):
+            plain = shape(*args)
+            plain.flip = False
+            return plain
+
+        for n in range(1, 20 // m + 1):
+            for search, target in [(max_minps, "minps"), (min_percolating, "perc")]:
+                assert shape(GridDims(m, n), target).flip == (n > 1)
+                cut = search(GridDims(m, n))
+                with monkeypatch.context() as patch:
+                    patch.setattr(minps.search, "_Shape", without_flip)
+                    plain = search(GridDims(m, n))
+                assert (cut.value, cut.witness, cut.exhaustive) == (
+                    plain.value, plain.witness, plain.exhaustive), (search.__name__, m, n)
+                assert cut.nodes <= plain.nodes, (search.__name__, m, n)
+        assert not shape(LatticeDims(3, 2), "perc").flip
+
     @pytest.mark.parametrize("m", range(2, 8))
     def test_corner_subset_fixes_the_corner_cells(self, m):
         from minps.search import _Shape
@@ -606,6 +631,7 @@ class TestSymmetries:
             shape = _Shape(GridDims(m, n), "corner")
             corner = {(x - 1) * n + y - 1 for x, y in naive_corner_cells(m, n)}
             assert shape.corner == sum(1 << i for i in corner)
+            assert not shape.flip  # the row flip moves the corner cells
 
 
 class TestMonotonicityTable:
