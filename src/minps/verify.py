@@ -9,14 +9,21 @@ completely uninfected.
 
 Percolation takes one closure, the deletions a merge tree.  Under the
 2-neighbour rule a closure is the fixpoint of the box process: merge two
-boxes at taxicab distance <= 2 into their hull, in any order.  Inserting the
-points in order, node i is point i, its children the live boxes its
-insertion absorbed, its box the closure of its subtree.  The closure without
-v starts from the boxes of v's children and walks up v's ancestors, adding
-each one's other children, then settling its point.  The added boxes need
-no check: they were live together with the path child's box, so they are
->= 3 from each other and from that box, which holds all settled below.  A
-deletion so settles a few boxes per ancestor instead of sweeping the grid.
+boxes at taxicab distance <= 2 into their hull, in any order.  The points
+are sorted and inserted in bit-reversed index order (0, k/2, k/4, 3k/4, ...),
+which keeps the tree shallow; node i is point i, its children the live boxes
+its insertion absorbed, its box the closure of its subtree.  The closure
+without v starts from the boxes of v's children and walks up v's ancestors,
+adding each one's other children, then settling its point.  The added boxes
+need no check: they were live together with the path child's box, so they
+are >= 3 from each other and from that box, which holds all settled below.
+A deletion so settles a few boxes per ancestor instead of sweeping the grid.
+
+A seed w with two seed neighbours is redundant in a percolating set, since
+S - w infects w in one step.  Deletions are walked only up to the first such
+w in point order, which is then the witness; when w is the first point, no
+tree is built.  Two cross-checks raise EngineError: a tree, whenever one is
+built, must end in the one full box, and the closure of S - w must fill it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ NOT_PERCOLATING = "not-percolating"
 REDUNDANT_POINT = "redundant-point"
 CORNER_REACHED = "corner-reached"
 
-_BUCKET = 8  # boxes with every side shorter are indexed by lo // _BUCKET
+_BUCKET = 8  # a box is indexed by lo // _BUCKET on its axes shorter than this
 
 
 @dataclass(frozen=True)
@@ -104,33 +111,59 @@ def _hull(a, b):
 
 
 def _candidates(index, b) -> list[int]:
-    """The live nodes in the buckets that can hold a box near ``b``, and the wide ones."""
-    spans = [range((l - 1 - _BUCKET) // _BUCKET, (h + 2) // _BUCKET + 1) for l, h in zip(*b)]
-    return [j for k in product(*spans) if k in index for j in index[k]] + index[None]
+    """The live nodes that can hold a box near ``b``: for each pattern of
+    short axes seen so far, those in the buckets within reach on its short axes."""
+    reach = [range((l - 1 - _BUCKET) // _BUCKET, (h + 2) // _BUCKET + 1) for l, h in zip(*b)]
+    found = []
+    for pattern, buckets in index.items():
+        for key in product(*[r if short else (None,) for r, short in zip(reach, pattern)]):
+            if key in buckets:
+                found += buckets[key]
+    return found
 
 
 def _merge_tree(points):
-    """Insert ``points`` in order into the box process; node i is point i.
-    Returns the parent (-1 while live), children and box of each node."""
-    parent, children, box, keys = [-1] * len(points), [[] for _ in points], [], []
-    index: dict = {None: []}  # bucket -> live boxes with short sides; None -> the rest
-    for i, p in enumerate(points):
-        b = last = (p, p)
+    """Insert ``points`` in bit-reversed index order into the box process;
+    node i is point i.  Returns the parent (-1 while live), children and box
+    of each node."""
+    k = len(points)
+    order = [0]
+    while len(order) < k:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    parent, children, box, held = [-1] * k, [[] for _ in points], [None] * k, [None] * k
+    # pattern (which axes are shorter than _BUCKET) -> key (lo // _BUCKET on
+    # the short axes, None on the long ones) -> live nodes; held[i] holds i
+    index: dict = {}
+    for i in order:
+        if i >= k:
+            continue
+        b = last = (points[i], points[i])
         while True:
             q = b
             for j in _candidates(index, b):
                 if _near(b, box[j]):
                     b, last = _hull(b, box[j]), box[j]
-                    index[keys[j]].remove(j)
+                    held[j].remove(j)
                     parent[j] = i
                     children[i].append(j)
             if b in (q, last):  # nothing live is near q, or near the one box absorbed
                 break
-        short = all(h - l < _BUCKET for l, h in zip(*b))
-        keys.append(tuple(c // _BUCKET for c in b[0]) if short else None)
-        index.setdefault(keys[i], []).append(i)
-        box.append(b)
+        pattern = tuple(h - l < _BUCKET for l, h in zip(*b))
+        key = tuple(l // _BUCKET if short else None for l, short in zip(b[0], pattern))
+        held[i] = index.setdefault(pattern, {}).setdefault(key, [])
+        held[i].append(i)
+        box[i] = b
     return parent, children, box
+
+
+def _crowded(points) -> int:
+    """The index of the first point with two seed neighbours, else len(points)."""
+    seeds = set(points)
+    for i, p in enumerate(points):
+        near = [p[:a] + (c + e,) + p[a + 1:] for a, c in enumerate(p) for e in (-1, 1)]
+        if len(seeds.intersection(near)) >= 2:
+            return i
+    return len(points)
 
 
 def _settle(live, b):
@@ -153,16 +186,20 @@ def _settle(live, b):
 
 def _certify(s: PointSet | LatticeSet, corner_boxes) -> Verdict:
     """Percolation by one closure, then each single deletion in point order
-    through the merge tree, failing on one that percolates or meets a corner box."""
+    through the merge tree, failing on one that percolates or meets a corner
+    box, up to the first seed with two seed neighbours, which is redundant."""
     dims = s.dims
     points = sorted(s.points)
     if close_points(dims, points)[1] != dims.cells:
         return Verdict(False, None, NOT_PERCOLATING)
-    full = ((1,) * len(dims.sizes), dims.sizes)
-    parent, children, box = _merge_tree(points)
-    if parent.count(-1) != 1 or box[-1] != full:
-        raise EngineError(f"the box process ends at {box[-1]}, the closure fills {dims}")
-    for v, p in enumerate(points):
+    w = _crowded(points)
+    if w:
+        full = ((1,) * len(dims.sizes), dims.sizes)
+        parent, children, box = _merge_tree(points)
+        root = box[parent.index(-1)]
+        if parent.count(-1) != 1 or root != full:
+            raise EngineError(f"the box process ends at {root}, the closure fills {dims}")
+    for v, p in enumerate(points[:w]):
         live, child, a = [box[c] for c in children[v]], v, parent[v]
         # once the closure without p fills the box of child, it is cl(S) above
         while a >= 0 and live != [box[child]]:
@@ -174,4 +211,9 @@ def _certify(s: PointSet | LatticeSet, corner_boxes) -> Verdict:
         if any(all(map(le, b[0], c[1])) and all(map(le, c[0], b[1]))
                for b in live for c in corner_boxes):
             return Verdict(False, p, CORNER_REACHED)
-    return Verdict(True, None, OK)
+    if w == len(points):
+        return Verdict(True, None, OK)
+    if close_points(dims, points[:w] + points[w + 1:])[1] != dims.cells:
+        raise EngineError(f"{points[w]} has two seed neighbours, yet the closure without it "
+                          f"does not fill {dims}")
+    return Verdict(False, points[w], REDUNDANT_POINT)

@@ -15,6 +15,7 @@ from minps import (
     Rect,
     corner_avoiding_strip,
     corners,
+    dense_minps,
     glue,
     is_corner_avoiding_minps,
     is_minps,
@@ -186,6 +187,21 @@ class TestAgainstNaiveCertify:
                 outcomes.update(self.check(m, n, pts | {rng.choice(cells)}))
         assert outcomes == {None, OK, NOT_PERCOLATING, REDUNDANT_POINT, CORNER_REACHED}
 
+    @pytest.mark.parametrize("m, n, pts, witness, crowded", [
+        (3, 3, [(1, 1), (1, 2), (1, 3), (3, 1)], (1, 1), (1, 2)),
+        (5, 6, [(1, 2), (1, 4), (3, 1), (3, 2), (3, 5), (3, 6), (4, 6), (5, 5), (5, 6)],
+         (3, 1), (3, 6)),
+    ])
+    def test_corner_reached_before_the_first_crowded_seed(self, m, n, pts, witness, crowded):
+        # the walk settles every deletion before the first seed with two seed
+        # neighbours, so it must not skip this earlier failure
+        steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        first = next(p for p in sorted(pts)
+                     if len({(p[0] + dx, p[1] + dy) for dx, dy in steps} & set(pts)) >= 2)
+        assert first == crowded and witness < crowded
+        assert self.check(m, n, pts)[1] == CORNER_REACHED
+        assert is_corner_avoiding_minps(ps(m, n, pts)).witness == witness
+
     def test_search_witnesses_plus_a_cell(self):
         for search, (m, n) in [(max_minps, (4, 4)), (max_minps, (5, 4)),
                                (max_corner_avoiding, (4, 4))]:
@@ -197,8 +213,9 @@ class TestAgainstNaiveCertify:
 
 
 class TestMergeTreeIndex:
-    """Large inputs through the box index's wide list and its no-growth
-    path, against one BFS closure per deletion."""
+    """Large inputs through the box index's long-axis patterns, its no-growth
+    path and the screen for a seed with two seed neighbours, against one BFS
+    closure per deletion."""
 
     def check(self, s):
         v = verdict(is_minps(s))
@@ -232,6 +249,40 @@ class TestMergeTreeIndex:
         self.check(ps(40, 40, pts))
         assert is_minps(ps(40, 40, pts)).holds
 
+    def test_full_cube_builds_no_tree(self, monkeypatch):
+        # the first point has two seed neighbours, so it is the witness at once
+        trees = []
+        real = minps.verify._merge_tree
+
+        def merge_tree(points):
+            trees.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(minps.verify, "_merge_tree", merge_tree)
+        s = LatticeSet(LatticeDims(8, 3), frozenset(product(range(1, 9), repeat=3)))
+        self.check(s)
+        assert is_minps(s).witness == (1, 1, 1) and trees == []
+
+    def test_full_rows_plus_a_column(self):
+        # the witness (1, 1) has one seed neighbour; the first seed with two,
+        # (2, 1), comes 14 points later, so the walk must find (1, 1) first
+        rows = [(x, y) for x, y in grid_cells(40, 40) if y % 3 == 1 or x == 40]
+        s = ps(40, 40, rows)
+        assert sorted(s.points).index((2, 1)) == 14
+        self.check(s)
+        assert is_minps(s).witness == (1, 1)
+
+
+def test_merge_tree_is_shallow():
+    # bit-reversed insertion: a mean of 7.2 ancestors per node, against 46.3
+    # for a chain built in sorted order
+    parent = minps.verify._merge_tree(sorted(dense_minps(132, 132).points.points))[0]
+    depth = 0
+    for a in parent:
+        while a >= 0:
+            depth, a = depth + 1, parent[a]
+    assert depth / len(parent) <= 12
+
 
 def test_engine_error_when_the_tree_disagrees_with_the_closure(monkeypatch):
     real = minps.verify.close_points
@@ -245,6 +296,20 @@ def test_engine_error_when_the_tree_disagrees_with_the_closure(monkeypatch):
         is_minps(ps(3, 3, [(2, 2)]))
     with pytest.raises(EngineError):
         is_minps(LatticeSet(LatticeDims(3, 3), frozenset({(1, 1, 1), (3, 3, 3)})))
+
+    # the set's own closure is reported full; the closure without its first
+    # point, which has two seed neighbours, is not, and raises before any tree
+    calls = []
+
+    def full_once(dims, points, r=2):
+        flags, count, generations = real(dims, points, r)
+        calls.append(points)
+        return flags, dims.cells if len(calls) == 1 else count, generations
+
+    monkeypatch.setattr(minps.verify, "close_points", full_once)
+    with pytest.raises(EngineError):
+        is_minps(ps(3, 3, [(1, 1), (1, 2), (2, 1)]))
+    assert len(calls) == 2
 
 
 def test_minps_deletion_closures_are_proper_rect_unions():
