@@ -97,8 +97,8 @@ def _cmd_search(args) -> int:
         for m in range(1, max_m + 1):
             print("\t".join([str(m)] + [str(table[(m, n)]) for n in range(1, max_n + 1)]))
         return 0
-    if args.d_lattice is None and args.dims is None:
-        raise DomainError("search requires --dims or --d-lattice")
+    if (args.d_lattice is None) == (args.dims is None):
+        raise DomainError("search requires exactly one of --dims and --d-lattice")
     # a lattice raises DomainError in max_minps and max_corner_avoiding
     m, n = args.d_lattice or args.dims
     dims = LatticeDims(m, n) if args.d_lattice else GridDims(m, n)

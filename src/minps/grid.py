@@ -24,7 +24,7 @@ from itertools import chain, product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BoundsError, DomainError, integer
+from .errors import BoundsError, DomainError, ResourceLimitError, integer
 
 
 class Point(NamedTuple):
@@ -80,6 +80,12 @@ class LatticeDims(_Box):
     side: int
     dim: int
     _noun = "lattice"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        from .percolate import cell_cap  # percolate owns the cap and imports this module
+        if self.dim > cell_cap():  # checked before ``sizes`` builds dim entries
+            raise ResourceLimitError(f"{self} has {self.dim} axes, over the cell cap {cell_cap()}")
 
     @property
     def sizes(self) -> tuple[int, ...]:

@@ -94,13 +94,12 @@ class RectDecomposition:
 
 
 def cell_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
+    raw = os.environ.get(CELL_CAP_ENV, str(DEFAULT_CELL_CAP))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise DomainError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from exc
+    return integer(cap, CELL_CAP_ENV, 1)
 
 
 def check_closure(dims: GridDims | LatticeDims, r: int = 2) -> None:

@@ -27,7 +27,7 @@ are no hit, or no least hit:
 * closure is monotone, so if a seed v of a prefix P lies in cl(P - v), or
   cl(P - v) meets a protected corner, no S containing P is minimal, or
   corner-avoiding.  The maximization targets test every seed of each new
-  prefix so.  The path keeps cl(P) and each cl(P - v) as the lanes of
+  prefix so.  A level keeps cl(P) and each cl(P - v) as the lanes of
   ``board_closure``, in chunks of at most its ``lanes`` lanes: lane 0 is
   cl(P), with no target, and the lane of seed v is cl(P - v), with target
   v | corner.  A new cell c is added to every lane, as cl(A | B) ==
@@ -35,8 +35,9 @@ are no hit, or no least hit:
   lane meets its target, which cuts the node.  Else lane 0 is cl(P + c),
   and cl(P) becomes the lane of c.  A node makes one call while its set
   has at most ``lanes`` cells, so always on grids of up to about 60 cells;
-  from about 2,000 cells a chunk is one lane.  ``min_percolating`` closes
-  only full-size sets: a smallest percolating set is minimal anyway;
+  from about 2,000 cells a chunk is one lane.  Chunks, not one int: a cut
+  in a newer chunk spares sweeping the older ones.  ``min_percolating``
+  closes only full-size sets: a smallest percolating set is minimal anyway;
 * the row flip, y -> n+1-y on a grid with n > 1, for ``max_minps`` and
   ``min_percolating`` (it moves the protected corners, and lattices do not
   take it).  It keeps every column in place, and once the scan reaches a
@@ -45,8 +46,8 @@ are no hit, or no least hit:
   and its flip differ first where P and flip(P) do.  So if flip(P) is the
   lesser there, no such S is the least of its orbit, and the rest of the
   level is dropped.  This is orderly generation in the sense of Read
-  (1978) and McKay (1998), restricted to a prefix test.  The path keeps
-  flip(P), whether it is the lesser, and P's last column;
+  (1978) and McKay (1998), restricted to a prefix test.  A level keeps
+  flip(P) and whether it is the lesser; P's top bit gives its last column;
 * the slab lemma.  A slab is the set of cells with one coordinate fixed.
   For r >= 2 a slab without seeds stays empty on the border or next to
   another empty slab, as each of its cells has at most one neighbour off
@@ -143,15 +144,17 @@ class _Shape:
         self.flip = isinstance(dims, GridDims) and dims.n > 1 and target != "corner"
 
 
-def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
+def _scan_partition(args) -> tuple[int | None, int, bool]:
     """Scan the sets of one first cell with a size in ``sizes`` = (lo, hi)
     depth-first in increasing cell order; returns (hit, nodes, truncated), the
-    hit being the first set of the largest size found."""
+    hit being the mask of the first set of the largest size found.  A level
+    keeps its set's mask, rows, need, lanes, targets, flip, bad and cell iterator."""
     (lo, hi), first, node_cap, deadline, shape = args
     m, n, stride, gap = shape.m, shape.n, shape.stride, shape.gap
     cells, corner, cut, close, flip = shape.cells, shape.corner, shape.cut, shape.close, shape.flip
     width, lanes = shape.width, shape.lanes
     full = (1 << cells) - 1
+    room = cells - lo  # lo, stored so that the test of each visit takes one subtraction
     reps = [0]  # reps[j]: bit 0 of each of j lanes, to add a cell to each
     for j in range(lanes):
         reps.append(reps[-1] | 1 << j * width)
@@ -162,26 +165,21 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
     mask = 0
     rows, need = 1 | 1 << (n + 2 * gap - 1), (n + 2 * gap - 2) // gap
     # With the cut, the path's closures in chunks of up to ``lanes`` lanes, with
-    # their targets: lane 0 is cl(mask), target 0, and lane j > 0 is
-    # cl(mask - path[j-1]), target path[j-1] | corner.  ``closed`` is lane 0.
-    closed, chunks, targets = 0, [0], [0]
-    # With the flip cut: the row flip of the set, whether it is the lesser of
-    # the two, and the set's last column.
-    img, bad, lastcol = 0, False, 0
+    # their targets: lane 0 is cl(mask), target 0, and the lane of a cell v of
+    # the set is cl(mask - v), target v | corner.
+    chunks, targets = [0], [0]
+    img, bad = 0, False  # with the flip cut: the set's row flip, and whether it is the lesser
     k = 1  # the size of the set a visited cell makes, and the lanes of its parent
-    # A visited cell c leaves cells - 1 - c cells after it, so the set can still
-    # reach size lo while c <= last = cells - 1 - lo + k.
-    last = cells - lo
-    path: list[int] = []
     stack = []
     hit = None
     it = iter((first,))
     nodes = 0
     while True:
         for c in it:
-            # Past the set's last column, its columns are final: no set of the
-            # rest of the level is canonical once the flip of the set is less.
-            if c > last or bad and c // stride > lastcol:
+            # Cell c leaves cells - 1 - c after it: too few for size lo once
+            # c - k >= room.  Past the set's last column, those columns are final,
+            # so once the set's flip is less, no later set of the level is canonical.
+            if c - k >= room or bad and c // stride > (mask.bit_length() - 1) // stride:
                 it = iter(())  # so the next pass pops this level
                 break
             if nodes >= node_cap:
@@ -205,7 +203,7 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
             if cut:
                 # cl(A | B) == cl(cl(A) | B): each lane grows from its parent's
                 # with c added; lane 0's chunk goes last, as the others can cut.
-                if closed & (1 << c | corner):
+                if chunks[0] & (1 << c | corner):
                     continue
                 cchunks = chunks[:]
                 for j in range(len(chunks) - 1, -1, -1):
@@ -221,49 +219,44 @@ def _scan_partition(args) -> tuple[tuple[int, ...] | None, int, bool]:
                 cclosed = close(cmask) if k == hi else cmask
             if cclosed == full:
                 # No proper superset of a percolating set is minimal.
-                if k >= lo:
-                    hit = (*path, c)
+                if k >= cells - room:  # k >= lo
+                    hit = cmask
                     if k == hi:
                         return hit, nodes, False
-                    lo = k + 1
-                    last = cells - 1 - lo + k
+                    room = cells - 1 - k  # lo = k + 1
                 continue
             if k < hi:
-                stack.append((mask, rows, need, closed, chunks, targets, img, bad, lastcol, it))
+                stack.append((mask, rows, need, chunks, targets, img, bad, it))
                 if cut:
                     # The new lane k is cl(mask) == cl(cmask - c).
                     top = k % lanes * width
                     if top:
-                        cchunks[-1] |= closed << top
+                        cchunks[-1] |= (chunks[0] & full) << top
                         targets = [*targets[:-1], targets[-1] | (1 << c | corner) << top]
                     else:
-                        cchunks.append(closed)
+                        cchunks.append(chunks[0] & full)
                         targets = [*targets, 1 << c | corner]
                     chunks = cchunks
                 if flip:
                     img |= 1 << (c + n - 1 - 2 * (c % n))
                     diff = img ^ cmask
-                    bad, lastcol = bool(img & diff & -diff), c // stride
-                path.append(c)
-                mask, rows, need, closed = cmask, crows, cneed, cclosed
+                    bad = bool(img & diff & -diff)
+                mask, rows, need = cmask, crows, cneed
                 k += 1
-                last += 1
                 it = iter(range(max(c + 1, (m - 1 - gap * (hi - k)) * stride),
                                 min(cells, (c // stride + 1 + gap) * stride)))
                 break
         else:
             if not stack:
                 return hit, nodes, False
-            mask, rows, need, closed, chunks, targets, img, bad, lastcol, it = stack.pop()
-            path.pop()
+            mask, rows, need, chunks, targets, img, bad, it = stack.pop()
             k -= 1
-            last -= 1
 
 
 def _run_block(shape, sizes, node_cap, deadline, pool):
     """Scan the partitions of the sizes ``sizes`` = (lo, hi) in first-cell
-    order and return the largest hit, the earliest partition's on a tie; stop
-    at the first hit of size hi.  Partition budgets are fixed shares of
+    order and return the largest hit mask, the earliest partition's on a tie;
+    stop at the first hit of size hi.  Partition budgets are fixed shares of
     ``node_cap`` and every partition gets the whole size range, so the outcome
     is identical for any worker count.  Nodes and truncation are summed over
     the partitions read.  Past the deadline the block stops at the first
@@ -282,9 +275,9 @@ def _run_block(shape, sizes, node_cap, deadline, pool):
     for hit, used, trunc in results:
         nodes += used
         truncated = truncated or trunc
-        if hit is not None and (best is None or len(hit) > len(best)):
+        if hit is not None and (best is None or hit.bit_count() > best.bit_count()):
             best = hit
-            if len(hit) == hi:
+            if hit.bit_count() == hi:
                 break
         if trunc and deadline is not None and time.monotonic() > deadline:
             break  # each partition left would stop at its first node
@@ -309,7 +302,7 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     total_nodes = 0
     truncated = False
-    hit: tuple[int, ...] = ()
+    hit = 0
     try:
         for sizes in ranges:
             remaining = budget.max_nodes - total_nodes
@@ -327,9 +320,10 @@ def _drive(dims: GridDims | LatticeDims, target: str, budget: SearchBudget,
         if pool is not None:
             pool.terminate()
     cls = LatticeSet if isinstance(dims, LatticeDims) else PointSet
+    bits = format(hit, "b")[::-1]  # bit i is cell i
     return SearchResult(
-        value=len(hit),
-        witness=cls(dims, frozenset(cell_at(dims, i) for i in hit)),
+        value=hit.bit_count(),
+        witness=cls(dims, frozenset(cell_at(dims, i) for i, b in enumerate(bits) if b == "1")),
         exhaustive=not truncated,
         nodes=total_nodes,
         elapsed=time.monotonic() - start,

@@ -1,4 +1,5 @@
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -227,8 +228,10 @@ def test_table_rejects_empty_sizes(argv, capsys):
     (["search", "--target", "minperc", "--dims", "3", "3"], 0, "value=3"),
     (["search", "--target", "E", "--table", "--dims", "4", "4", "--max-nodes", "10"], 2,
      "budget exhausted on 1x4"),
+    (["search", "--target", "minperc", "--d-lattice", "2", "2", "--dims", "3", "3"], 2,
+     "exactly one of --dims and --d-lattice"),
 ], ids=["params-no-equals", "params-not-int", "table-no-dims", "lattice-E", "lattice-Ec",
-        "grid-Ec", "grid-minperc", "table-budget"])
+        "grid-Ec", "grid-minperc", "table-budget", "dims-and-lattice"])
 def test_search_and_construct_branches(argv, code, text, tmp_path, capsys):
     out = tmp_path / "a.pts"
     if argv[0] == "construct":
@@ -240,6 +243,18 @@ def test_search_and_construct_branches(argv, code, text, tmp_path, capsys):
         assert not out.exists()
     else:
         assert text in captured.out
+
+
+def test_search_caps_the_lattice_dim_first(capsys):
+    # [1]^30000000 has one cell, but unchecked its 30M axes run for about 20 s at 710 MB
+    tracemalloc.start()
+    try:
+        code = run(["search", "--target", "minperc", "--d-lattice", "1", "30000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "axes, over the cell cap" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_main_is_run():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +69,21 @@ class TestDims:
         assert dims == GridDims(1, 3) and type(dims.m) is int
         assert format_points(PointSet(dims, [(1, 2)])) == "dims 1 3\n1 2\n"
         assert type(LatticeDims(2, True).dim) is int
+
+    def test_lattice_dim_is_capped_before_sizes_exist(self):
+        # [1]^dim has one cell for any dim, but its ``sizes`` has dim entries:
+        # unchecked, 30M of them take 474 MB
+        from minps import ResourceLimitError
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="axes"):
+                parse_points("ldims 1 30000000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert LatticeDims(1, 130).cells == 1
 
     def test_unpack_and_contains(self):
         m, n = GridDims(4, 7)

@@ -4,11 +4,14 @@ a ``global`` statement, no module keeps a ``functools`` cache, points
 become flat indices in bulk, through ``cell_indices``, never one at a time
 through ``cell_index``, the flat layout's axis masks are built in
 ``percolate`` alone, no other module reads ``axis_mask`` or ``counters``,
-the pieces of its bitboard closures, and ``operator.index`` is read only by
-``errors.integer`` and ``grid._indexed``, the per-point fallback."""
+the pieces of its bitboard closures, ``operator.index`` is read only by
+``errors.integer`` and ``grid._indexed``, the per-point fallback, and every
+module parses under the grammar of Python 3.10, the package's floor."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minps"
 
@@ -254,3 +257,14 @@ def test_detects_index_uses(tmp_path):
         "        return self.index(1) + 'ab'.index('a') + add(1, 2)\n"
     )
     assert _index_uses(sample) == ["<module>:1", "f:5", "f:6", "f:6"]
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject's requires-python >= 3.10; the parser checks syntax, not the library
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_floor_parse_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -607,9 +607,10 @@ class TestBoardClosure:
 @pytest.mark.parametrize("cap,call", [
     ("ten", lambda: percolates(ps(3, 3, []))),
     ("1e6", lambda: closure(ps(3, 3, []))),
+    ("-1", lambda: percolates(ps(2, 2, []))),
     (None, lambda: internally_spans(ps(3, 3, []), Rect(Point(2, 2), Point(4, 3)))),
     (None, lambda: internally_spans(ps(3, 3, []), Rect(Point(1, 1), Point(3, 4)))),
-], ids=["cap-word", "cap-float", "rect-past-x", "rect-past-y"])
+], ids=["cap-word", "cap-float", "cap-below-one", "rect-past-x", "rect-past-y"])
 def test_malformed_input_is_a_domain_error(cap, call, monkeypatch):
     if cap is not None:
         monkeypatch.setenv("MINPS_CELL_CAP", cap)
