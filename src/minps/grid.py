@@ -5,7 +5,8 @@ Every container here is immutable and hashable, so values can be shared
 freely between threads and processes.  ``PointSet`` and ``LatticeSet`` check
 their points' lengths, coordinate types and bounds in bulk on construction;
 only input that fails a check is rebuilt or tested point by point, to name
-the bad point in a DomainError or BoundsError.
+the bad point in a DomainError or BoundsError.  ``from_flags`` builds one
+from a closure's flags with no check, as every point it makes is in the box.
 
 The module also owns the ``.pts`` text format used to exchange point sets:
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -189,6 +190,16 @@ class _Points:
             bad = tuple(min(p for p in pts if p not in dims))
             raise BoundsError(f"point {bad} outside {self._noun} {dims}")
         self.__dict__["dims"], self.__dict__["points"] = dims, pts  # frozen: past __setattr__
+
+    @classmethod
+    def from_flags(cls, dims: GridDims | LatticeDims, flags: Iterable):
+        """The points of ``dims`` in lexicographic order, each kept iff its
+        entry of ``flags`` is true (a closure's flags, by flat index).  Every
+        point it can make lies in ``dims``, so it runs no check."""
+        self = object.__new__(cls)
+        pts = compress(product(*(range(1, k + 1) for k in dims.sizes)), flags)
+        self.__dict__.update(dims=dims, points=frozenset(map(partial(tuple.__new__, cls._point), pts)))
+        return self
 
     def __len__(self) -> int:
         return len(self.points)

@@ -5,11 +5,12 @@ slowest first, (m, n) or (side,) * dim.  An axis's stride is the product of
 the sizes after it, so a grid's (size, stride) axes are ((m, n), (n, 1)).
 A closure on flat cell indices runs in two phases.  Bit-parallel rounds
 keep the infected cells as one big int, cell i at bit cells - 1 - i (binary
-string order, so bytes convert at C speed): per axis, the board shifted a
-stride each way and masked by ``axis_mask`` feeds bit-sliced ``counters``
-(with an r = 2 fast path), and the cells that reach r are infected.  Then a
-counter BFS keeps ``need[v]``, the infected neighbours v still lacks (0 once
-infected), and takes each cell off its queue once, a layer per round.
+string order, so bytes convert at C speed): that is the box turned 180
+degrees, under which the rule is invariant, so a round is one call of the
+kernel ``board_closure`` picks, one lane wide, with the full board as its
+targets.  Then a counter BFS keeps ``need[v]``, the infected neighbours v
+still lacks (0 once infected), and takes each cell off its queue once, a
+layer per round.
 
 A round costs O(cells / word) however few cells it infects: in units of one
 cell of one round, cells + ``_ROUND_COST``, and it spares the BFS
@@ -49,7 +50,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, product, repeat
+from itertools import repeat
 from math import prod
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple
@@ -172,13 +173,15 @@ def counters(masks: list[tuple[int, int]], r: int, board: int) -> list[int]:
 
 def _rounds(axes: tuple[tuple[int, int], ...], cells: int, r: int,
             board: int) -> tuple[bytearray, list[int], int, int]:
-    """Bit-parallel rounds: the BFS's (need, frontier, count, generations)."""
-    masks = [(stride, axis_mask(size, stride, cells)) for size, stride in axes]
+    """Bit-parallel rounds: the BFS's (need, frontier, count, generations).
+    A round is one call of the lane kernel, one lane wide, its targets the
+    full board."""
+    step, full = _kernel(axes, cells, r), (1 << cells) - 1
     digits, cost, generations, waste = f"0{cells}b", cells + _ROUND_COST, 0, 0
     while True:
-        grown = board | counters(masks, r, board)[r]
+        grown = step(board, full)
         if grown == board:  # 1 on the uninfected cells: a countdown
-            need = bytearray(format(board ^ ((1 << cells) - 1), digits), "ascii")
+            need = bytearray(format(board ^ full, digits), "ascii")
             return need.translate(_FROM_ASCII), [], board.bit_count(), generations
         generations += 1
         waste = max(0, waste + cost - _CELL_GAIN * (grown ^ board).bit_count())
@@ -186,6 +189,7 @@ def _rounds(axes: tuple[tuple[int, int], ...], cells: int, r: int,
             break
         board = grown
     # The hand-over: a byte a cell, these masks sum to r if infected, else to the count.
+    masks = [(stride, axis_mask(size, stride, cells)) for size, stride in axes]
     total = sum(int.from_bytes(format(mask | grown, digits).encode().translate(_FROM_ASCII), "big")
                 for mask in counters(masks, r, board)[1:r] + [0])
     need = bytearray(total.to_bytes(cells, "big")).translate(bytes(range(r, -1, -1)).ljust(256))
@@ -280,23 +284,30 @@ def board_closure(dims: GridDims | LatticeDims, r: int = 2) -> BoardClosure:
     ``targets``; so whenever the result misses ``targets`` each lane is its
     own closure, and it never sets a guard bit.  Under the 2-neighbour rule on
     at most two axes of size > 1 (every grid, and [side]^2) a step is a
-    shift-and-or sweep of the plane, else a round of ``counters``.  ``close``
-    is a partial of a module-level loop, so it pickles for the search's
-    workers."""
+    shift-and-or sweep of the plane, else a round of ``counters``: per axis,
+    the board shifted a stride each way and masked by ``axis_mask`` feeds
+    bit-sliced counts of infected neighbours.  With ``targets`` the full
+    board, ``close`` returns after exactly one round; ``close_points``'s
+    rounds are such calls, one lane wide.  ``close`` is a partial of a
+    module-level loop, so it pickles for the search's workers."""
     axes, cells, r = _engine(dims, r)
     width = cells + max((stride for _, stride in axes), default=0)
     lanes = max(1, min(cells, _LANE_BITS // width))
-    ones = sum(1 << j * width for j in range(lanes))  # bit 0 of every lane
+    return BoardClosure(_kernel(axes, cells, r, sum(1 << j * width for j in range(lanes))),
+                        width, lanes)
+
+
+def _kernel(axes: tuple[tuple[int, int], ...], cells: int, r: int, ones: int = 1) -> Callable:
+    """The loop that closes lanes of ``cells`` bits, ``ones`` holding bit 0
+    of each lane, with its full board and masks bound in."""
     full = ((1 << cells) - 1) * ones
     if r == 2 and len(axes) <= 2:
         # The last axis has stride 1; the other one's stride, or 0 on a single
         # axis, where left == right == mask adds nothing the row rule does not.
         n = axes[0][1] if len(axes) == 2 else 0
-        close = partial(_sweep, full, n, axis_mask(axes[-1][0], 1, cells) * ones)
-    else:
-        close = partial(_count, full, r, [(stride, axis_mask(size, stride, cells) * ones)
-                                          for size, stride in axes])
-    return BoardClosure(close, width, lanes)
+        return partial(_sweep, full, n, axis_mask(axes[-1][0], 1, cells) * ones)
+    return partial(_count, full, r, [(stride, axis_mask(size, stride, cells) * ones)
+                                     for size, stride in axes])
 
 
 def _sweep(full: int, n: int, not_bot: int, mask: int, targets: int = 0) -> int:
@@ -328,8 +339,7 @@ def _closed(s: PointSet | LatticeSet, r: int) -> tuple[PointSet | LatticeSet, in
     """The closure of ``s`` under the r-neighbour rule, as a set of its own
     class, and its generations."""
     flags, _, generations = close_points(s.dims, s.points, r)
-    cells = compress(product(*(range(1, k + 1) for k in s.dims.sizes)), flags)  # flat index order
-    return type(s)(s.dims, cells), generations
+    return type(s).from_flags(s.dims, flags), generations
 
 
 def closure(ps: PointSet | LatticeSet) -> Closure:

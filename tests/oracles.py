@@ -76,6 +76,23 @@ def naive_lattice_closure(side, d, r, seeds):
         infected |= new
 
 
+def naive_step(sizes, r, seeds):
+    """One synchronous round on the box of axis sizes ``sizes``: ``seeds``
+    plus every cell with at least r of its 2 * len(sizes) neighbours in it."""
+    infected = set(seeds)
+    new = set()
+    for c in product(*(range(1, s + 1) for s in sizes)):
+        count = 0
+        for axis in range(len(sizes)):
+            for delta in (-1, 1):
+                nb = c[:axis] + (c[axis] + delta,) + c[axis + 1:]
+                if nb in infected:
+                    count += 1
+        if count >= r:
+            new.add(c)
+    return infected | new
+
+
 def naive_percolates(m, n, seeds):
     return len(naive_closure(m, n, seeds)) == m * n
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -177,6 +178,24 @@ class TestValidation:
         got = cls(dims, iter(pts)).points
         assert got == want
         assert all(type(p) is elem and all(type(c) is int for c in p) for p in got)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_from_flags_equals_the_checked_set(self, data):
+        # Flags of any length: cells past their end are dropped, entries past
+        # the last cell are ignored, as ``compress`` does.
+        if data.draw(st.booleans()):
+            dims = GridDims(data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
+            cls, elem = PointSet, Point
+        else:
+            dims = LatticeDims(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+            cls, elem = LatticeSet, tuple
+        flags = data.draw(st.lists(st.integers(0, 1), max_size=dims.cells + 3))
+        box = data.draw(st.sampled_from([bytearray, bytes, list]))
+        cells = sorted(product(*(range(1, k + 1) for k in dims.sizes)))
+        got = cls.from_flags(dims, box(flags))
+        assert got == cls(dims, [c for c, f in zip(cells, flags) if f])
+        assert all(type(p) is elem and all(type(c) is int for c in p) for p in got.points)
 
     def test_bounds_error_names_the_least_point_outside(self):
         with pytest.raises(BoundsError, match=r"^point \(0, 2\) outside grid 5x5$"):

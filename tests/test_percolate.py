@@ -33,10 +33,10 @@ from minps import (
     spans,
 )
 from minps import percolate
-from minps.percolate import (_close, _engine, axis_mask, board_closure, cell_at, cell_indices,
-                             close_points)
+from minps.percolate import (_close, _count, _engine, _kernel, _sweep, axis_mask, board_closure,
+                             cell_at, cell_indices, close_points)
 
-from oracles import naive_closure, naive_generations, naive_lattice_closure
+from oracles import naive_closure, naive_generations, naive_lattice_closure, naive_step
 
 
 def ps(m, n, pts):
@@ -593,6 +593,30 @@ class TestBoardClosure:
                 unmet_seen += 1
                 assert [x >> j * width & lane for j in range(k)] == singles
         assert met_seen and unmet_seen
+
+    @pytest.mark.parametrize("dims", [GridDims(m, n) for m, n in [(1, 1), (1, 6), (5, 1), (2, 2),
+                                                                  (4, 7), (9, 9)]]
+                             + [LatticeDims(side, d) for d in (1, 2, 3) for side in (1, 2, 3, 5)])
+    def test_a_call_with_the_full_board_as_targets_is_one_round(self, dims):
+        # The point-set engine's rounds are such calls on one lane, cell i at
+        # bit cells - 1 - i: the box turned 180 degrees, so both orders must hold.
+        cells = dims.cells
+        full = (1 << cells) - 1
+        points = [cell_at(dims, i) for i in range(cells)]
+        d = len(dims.sizes)
+        rng = random.Random(cells * 10 + d)
+        for r in ([2] if isinstance(dims, GridDims) else range(1, 2 * d + 2)):
+            axes, _, clamped = _engine(dims, r)
+            step = _kernel(axes, cells, clamped)
+            assert step.func is (_sweep if clamped == 2 and len(axes) <= 2 else _count)
+            for _ in range(20):
+                density = rng.random()
+                seeds = [p for p in points if rng.random() < density]
+                want = naive_step(dims.sizes, r, seeds)
+                for order in (points, points[::-1]):
+                    board = sum(1 << order.index(p) for p in seeds)
+                    got = step(board, full)
+                    assert {p for i, p in enumerate(order) if got >> i & 1} == want
 
     def test_checks_the_threshold_and_the_cap(self, monkeypatch):
         with pytest.raises(DomainError):
